@@ -116,9 +116,9 @@ func BenchmarkE1Funnel(b *testing.B) {
 
 // BenchmarkObsOverhead measures what the observability layer costs on the E1
 // funnel path: the same pipeline run with a live registry (funnel gauges,
-// stage spans, resolver cache gauges) versus obs.Discard (typed-nil metrics,
-// every call a no-op). The instrumented run must stay within a few percent of
-// discard — the per-run cost is a handful of registry lookups and span
+// stage histograms, resolver cache gauges) versus obs.Discard (typed-nil
+// metrics, every call a no-op). The instrumented run must stay within a few
+// percent of discard — the per-run cost is a handful of registry lookups and
 // timestamps against thousands of users processed.
 func BenchmarkObsOverhead(b *testing.B) {
 	e := getEnv(b)

@@ -161,18 +161,11 @@ func runRouter(args []string) error {
 	autoFailover := fs.Bool("auto-failover", false, "remove down workers automatically, re-sharding via journal replay")
 	over := daemon.OverloadFlags(fs)
 	traces := daemon.TraceFlags(fs)
-	disk := daemon.DiskFlags(fs)
 	fs.Parse(args)
 
 	members, err := parseWorkers(*workers)
 	if err != nil {
 		return err
-	}
-	// The router's journal is in-memory (bounded by -journal); the -disk-*
-	// flags exist for fleet-wide flag parity and gate nothing here. Worker
-	// disk pressure reaches the router through hello probes instead.
-	if b := disk(); b.SoftBytes > 0 || b.HardBytes > 0 {
-		fmt.Fprintln(os.Stderr, "stir router: -disk-soft/-disk-hard noted but the router keeps no store; set them on the workers")
 	}
 	cfg := over()
 	stack := daemon.NewStackOpts(daemon.StackOptions{

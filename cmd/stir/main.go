@@ -400,14 +400,7 @@ func runServe(args []string) error {
 	resOpts := resilienceFlags(fs)
 	over := daemon.OverloadFlags(fs)
 	traces := daemon.TraceFlags(fs)
-	disk := daemon.DiskFlags(fs)
 	fs.Parse(args)
-
-	// serve keeps no store; the -disk-* flags exist for fleet-wide flag
-	// parity (one systemd template across the daemons) and gate nothing.
-	if b := disk(); b.SoftBytes > 0 || b.HardBytes > 0 {
-		fmt.Fprintln(os.Stderr, "stir serve: -disk-soft/-disk-hard noted but serve keeps no checkpoint store; nothing to budget")
-	}
 
 	ds, err := makeDataset(*dataset, *users, *seed)
 	if err != nil {

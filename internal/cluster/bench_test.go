@@ -16,11 +16,11 @@ import (
 	"stir/internal/twitter"
 )
 
-// Cluster baselines (recorded in BENCH_cluster.json): routed ingest
-// throughput and scatter-gather latency at 1, 2 and 4 workers. The routed
-// path pays one JSON round-trip per ForwardBatch, so per-tweet cost is
-// dominated by encoding + loopback HTTP — the point of the baseline is the
-// scaling shape across worker counts, not the absolute number.
+// Cluster micro-benchmarks: routed ingest throughput and scatter-gather
+// latency at 1, 2 and 4 workers. The routed path pays one JSON round-trip
+// per ForwardBatch, so per-tweet cost is dominated by encoding + loopback
+// HTTP — the point is the scaling shape across worker counts, not the
+// absolute number.
 
 type benchResolver struct{ places []core.Place }
 

@@ -5,25 +5,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"stir/internal/obs"
+	"stir/internal/resilience/fault"
 	"stir/internal/storage"
 	"stir/internal/storage/vfs"
 )
-
-// seedFromEnv reads the cluster chaos seed (STIR_CLUSTER_SEED), so a failing
-// schedule replays bit-for-bit: the same kill point, the same torn
-// checkpoint, the same replay.
-func seedFromEnv(def int64) int64 {
-	if v, err := strconv.ParseInt(os.Getenv("STIR_CLUSTER_SEED"), 10, 64); err == nil {
-		return v
-	}
-	return def
-}
 
 // TestClusterChaosKillWorkerConverges is the capstone: a worker is
 // SIGKILL-equivalently destroyed mid-ingest — its listener vanishes, its
@@ -37,7 +26,7 @@ func seedFromEnv(def int64) int64 {
 // the merged cluster groupings must be byte-identical to the batch
 // pipeline, with every deferral and replay visible in the metrics.
 func TestClusterChaosKillWorkerConverges(t *testing.T) {
-	seed := seedFromEnv(2026)
+	seed := fault.SeedFromEnv(2026)
 	rnd := rand.New(rand.NewSource(seed))
 	ds := testDataset(t, 500, 13)
 	res, err := ds.Analyze(context.Background())
@@ -182,7 +171,7 @@ func TestClusterChaosKillWorkerConverges(t *testing.T) {
 // replaying the journal tail past the store's cursor through the shrunk
 // ring.
 func TestClusterCrashRecoveryFromCheckpointStore(t *testing.T) {
-	seed := seedFromEnv(2026) + 7
+	seed := fault.SeedFromEnv(2026) + 7
 	ds := testDataset(t, 400, 17)
 	res, err := ds.Analyze(context.Background())
 	if err != nil {

@@ -4,24 +4,14 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"stir/internal/leaktest"
 	"stir/internal/obs"
+	"stir/internal/resilience/fault"
 	"stir/internal/storage/vfs"
 )
-
-// diskSeedFromEnv reads the disk-exhaustion chaos seed (STIR_DISK_SEED), so
-// `make disk-chaos` can sweep schedules while a failure replays exactly.
-func diskSeedFromEnv(def int64) int64 {
-	if v, err := strconv.ParseInt(os.Getenv("STIR_DISK_SEED"), 10, 64); err == nil {
-		return v
-	}
-	return def
-}
 
 // TestDiskExhaustionChaosConverges is the resource-exhaustion capstone
 // (DESIGN.md §16): one worker's disk fills mid-stream. Its checkpoints defer
@@ -35,7 +25,7 @@ func diskSeedFromEnv(def int64) int64 {
 // evictions.
 func TestDiskExhaustionChaosConverges(t *testing.T) {
 	leaktest.Check(t)
-	seed := diskSeedFromEnv(2026)
+	seed := fault.SeedFromEnv(2026)
 	ds := testDataset(t, 400, 13)
 	ctx := context.Background()
 	res, err := ds.Analyze(ctx)
@@ -198,7 +188,7 @@ func TestDiskExhaustionChaosConverges(t *testing.T) {
 // actually being lost) does -auto-failover give up on the worker.
 func TestDegradedAutoFailoverOnlyWhenEvicting(t *testing.T) {
 	leaktest.Check(t)
-	seed := diskSeedFromEnv(2026) + 101
+	seed := fault.SeedFromEnv(2026) + 101
 	ds := testDataset(t, 120, 29)
 	ctx := context.Background()
 	tweets := allTweets(ds)

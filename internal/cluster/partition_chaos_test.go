@@ -27,11 +27,11 @@ import (
 // the current owners and wipes the residue it no longer owns. After the
 // rest of the stream, the merged answer is byte-identical to the batch
 // pipeline: zero acked writes lost, zero stale-epoch writes applied, every
-// transition counted. The whole schedule derives from STIR_CLUSTER_SEED and
+// transition counted. The whole schedule derives from STIR_FAULT_SEED and
 // a manual clock — rerunning a failure replays it exactly.
 func TestClusterPartitionChaosConverges(t *testing.T) {
 	leaktest.Check(t)
-	seed := seedFromEnv(2026) + 13
+	seed := fault.SeedFromEnv(2026) + 13
 	rnd := rand.New(rand.NewSource(seed))
 	ds := testDataset(t, 500, 23)
 	res, err := ds.Analyze(context.Background())

@@ -37,16 +37,8 @@ type GroupsResult struct {
 	Errors              []WorkerError   `json:"errors,omitempty"`
 }
 
-// GroupStatView mirrors the worker-side per-group row.
-type GroupStatView struct {
-	Group                string  `json:"group"`
-	Users                int     `json:"users"`
-	UserShare            float64 `json:"user_share"`
-	Tweets               int     `json:"tweets"`
-	TweetShare           float64 `json:"tweet_share"`
-	AvgDistinctDistricts float64 `json:"avg_distinct_districts"`
-	AvgMatchShare        float64 `json:"avg_match_share"`
-}
+// GroupStatView is the per-group row, the same one a worker serves.
+type GroupStatView = core.GroupRow
 
 // StatsResult is the cluster-wide /v1/stats answer: worker counters summed,
 // plus the router's own routing counters.
@@ -155,26 +147,17 @@ func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
 	r.mu.RLock()
 	total := len(r.workers)
 	r.mu.RUnlock()
-	res := GroupsResult{
-		Workers:   total,
-		WorkersOK: total - len(errs),
-		Partial:   len(errs) > 0,
-		Errors:    errs,
-	}
 	a := core.Analyze(gs)
-	res.Users, res.Tweets = a.Users, a.Tweets
-	res.OverallAvgDistricts, res.OverallMatchShare = a.OverallAvgDistricts, a.OverallMatchShare
-	res.Groups = make([]GroupStatView, 0, core.NumGroups)
-	for _, g := range a.Groups {
-		res.Groups = append(res.Groups, GroupStatView{
-			Group:                g.Group.String(),
-			Users:                g.Users,
-			UserShare:            g.UserShare,
-			Tweets:               g.Tweets,
-			TweetShare:           g.TweetShare,
-			AvgDistinctDistricts: g.AvgDistinctDistricts,
-			AvgMatchShare:        g.AvgMatchShare,
-		})
+	res := GroupsResult{
+		Users:               a.Users,
+		Tweets:              a.Tweets,
+		Groups:              a.Rows(),
+		OverallAvgDistricts: a.OverallAvgDistricts,
+		OverallMatchShare:   a.OverallMatchShare,
+		Workers:             total,
+		WorkersOK:           total - len(errs),
+		Partial:             len(errs) > 0,
+		Errors:              errs,
 	}
 	status := http.StatusOK
 	if total > 0 && res.WorkersOK == 0 {

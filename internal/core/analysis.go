@@ -19,6 +19,18 @@ type GroupStat struct {
 	AvgMatchShare float64
 }
 
+// GroupRow is one per-group row of the /v1/groups answer that stream
+// workers and the cluster router serve.
+type GroupRow struct {
+	Group                string  `json:"group"`
+	Users                int     `json:"users"`
+	UserShare            float64 `json:"user_share"`
+	Tweets               int     `json:"tweets"`
+	TweetShare           float64 `json:"tweet_share"`
+	AvgDistinctDistricts float64 `json:"avg_distinct_districts"`
+	AvgMatchShare        float64 `json:"avg_match_share"`
+}
+
 // Analysis is the dataset-level result: everything Figures 6-7 and the
 // slides' charts are drawn from.
 type Analysis struct {
@@ -33,6 +45,24 @@ type Analysis struct {
 	// OverallMatchShare is the dataset-level reliability: the fraction of
 	// all geo-tweets posted from their author's profile district.
 	OverallMatchShare float64
+}
+
+// Rows returns the per-group statistics as /v1/groups rows, in display
+// order.
+func (a Analysis) Rows() []GroupRow {
+	rows := make([]GroupRow, 0, NumGroups)
+	for _, g := range a.Groups {
+		rows = append(rows, GroupRow{
+			Group:                g.Group.String(),
+			Users:                g.Users,
+			UserShare:            g.UserShare,
+			Tweets:               g.Tweets,
+			TweetShare:           g.TweetShare,
+			AvgDistinctDistricts: g.AvgDistinctDistricts,
+			AvgMatchShare:        g.AvgMatchShare,
+		})
+	}
+	return rows
 }
 
 // Analyze aggregates user groupings into the paper's per-group statistics.

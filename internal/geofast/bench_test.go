@@ -77,7 +77,7 @@ func benchGrid(b *testing.B) *Grid {
 	return g
 }
 
-// BenchmarkGeofastResolveBulk is the BENCH_geocode.json headline: batched
+// BenchmarkGeofastResolveBulk is the embedded geocoder's headline: batched
 // firehose-shaped points through the compiled grid, zero allocations,
 // ≥10M points/sec.
 func BenchmarkGeofastResolveBulk(b *testing.B) {

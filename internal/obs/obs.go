@@ -1,16 +1,15 @@
 // Package obs is STIR's dependency-free observability layer: atomic
 // counters, gauges and fixed-bucket histograms collected in a named,
-// label-aware Registry, with Prometheus-text and JSON exposition and a
-// lightweight stage tracer. The paper's pipeline lives or dies on its
-// attrition funnel and on API pain points (rate limits, geocode throttling);
-// this package turns those from scattered log lines into first-class,
-// scrapeable series.
+// label-aware Registry, with Prometheus-text and JSON exposition. The
+// paper's pipeline lives or dies on its attrition funnel and on API pain
+// points (rate limits, geocode throttling); this package turns those from
+// scattered log lines into first-class, scrapeable series.
 //
-// Everything is nil-safe: methods on a nil *Counter, *Gauge, *Histogram,
-// *Tracer or *Span are no-ops, and a nil *Registry resolves to the
-// process-wide Default, so zero-config callers pay a couple of atomic
-// operations and nothing else. Pass Discard to switch instrumentation off
-// entirely (its constructors hand back typed nils).
+// Everything is nil-safe: methods on a nil *Counter, *Gauge or *Histogram
+// are no-ops, and a nil *Registry resolves to the process-wide Default, so
+// zero-config callers pay a couple of atomic operations and nothing else.
+// Pass Discard to switch instrumentation off entirely (its constructors
+// hand back typed nils).
 package obs
 
 import (
@@ -84,6 +83,11 @@ func (g *Gauge) Value() float64 {
 
 // DefBuckets are latency-shaped histogram bounds (seconds), from 1 ms to 10 s.
 var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
+
+// StageHistogram is the histogram stage durations land in, one observation
+// per stage run under a stage label ("pipeline.users", "stream_snapshot").
+// Call sites observe it directly; span trees live in package obs/trace.
+const StageHistogram = "stir_stage_seconds"
 
 // SizeBuckets are count-shaped bounds for batch sizes and similar.
 var SizeBuckets = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000}

@@ -3,9 +3,8 @@ package trace
 import "sync"
 
 // ring is the bounded finished-span buffer: fixed capacity, newest evicts
-// oldest, snapshot returns oldest-first. The bound is the whole point —
-// PR 1's stage tracer accumulated roots forever; this ring is what lets a
-// daemon trace continuously without ever growing.
+// oldest, snapshot returns oldest-first. The bound is the whole point: it
+// is what lets a daemon trace continuously without ever growing.
 type ring struct {
 	mu   sync.Mutex
 	buf  []Record

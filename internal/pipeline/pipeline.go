@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"stir/internal/admin"
 	"stir/internal/core"
@@ -141,9 +142,11 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 	}
 	reg := obs.Or(p.Obs)
 	registerResolverMetrics(reg, p.Resolver)
-	tracer := obs.NewTracer(reg)
-	root := tracer.Start("pipeline")
-	defer root.End()
+	// Each stage is observed once into the stage histogram.
+	observe := func(stage string, start time.Time) {
+		reg.Histogram(obs.StageHistogram, obs.DefBuckets, "stage", stage).ObserveDuration(time.Since(start))
+	}
+	defer observe("pipeline", time.Now())
 	// The distributed span rides the context so every geocode/twitter client
 	// call a stage makes joins the run's tree.
 	ctx, dspan := p.Trace.Root(ctx, "pipeline.run")
@@ -154,7 +157,7 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 		},
 		ProfileDistrict: make(map[twitter.UserID]*admin.District),
 	}
-	count := root.Child("count")
+	start := time.Now()
 	_, dcount := trace.Start(ctx, "pipeline.count")
 	res.Funnel.RawUsers = len(users)
 	for _, ts := range tweets {
@@ -165,7 +168,7 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 			}
 		}
 	}
-	count.End()
+	observe("pipeline.count", start)
 	dcount.End()
 
 	// Deterministic order regardless of map iteration and worker count.
@@ -175,7 +178,7 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	process := root.Child("users")
+	start = time.Now()
 	uctx, dusers := trace.Start(ctx, "pipeline.users")
 	defer dusers.End() // idempotent; covers the error returns mid-stage
 	mSkipped := reg.Counter("pipeline_skipped_users_total")
@@ -263,12 +266,12 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 		})
 	}
 	sort.Slice(res.SkippedUsers, func(i, j int) bool { return res.SkippedUsers[i] < res.SkippedUsers[j] })
-	process.End()
+	observe("pipeline.users", start)
 	dusers.End()
-	analyze := root.Child("analyze")
+	start = time.Now()
 	_, danalyze := trace.Start(ctx, "pipeline.analyze")
 	res.Analysis = core.Analyze(res.Groupings)
-	analyze.End()
+	observe("pipeline.analyze", start)
 	danalyze.End()
 	publishFunnel(reg, res.Funnel)
 	if dspan != nil {

@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
 	"stir/internal/obs"
+	"stir/internal/resilience/fault"
 	"stir/internal/storage/vfs"
 )
 
@@ -88,17 +87,6 @@ func (m *crashModel) allows(k string, got crashOutcome) bool {
 		}
 	}
 	return false
-}
-
-func crashSeed(t *testing.T) int64 {
-	if env := os.Getenv("STIR_CRASH_SEED"); env != "" {
-		seed, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad STIR_CRASH_SEED %q: %v", env, err)
-		}
-		return seed
-	}
-	return 2026
 }
 
 const (
@@ -193,7 +181,7 @@ func getOutcome(t *testing.T, s *Store, k string) crashOutcome {
 // the workload is re-run once per boundary with the power cut scheduled
 // there, rebooted, reopened and verified against the model.
 func TestPowerCutAtEveryBoundary(t *testing.T) {
-	seed := crashSeed(t)
+	seed := fault.SeedFromEnv(2026)
 	const dir = "store"
 	opts := func(fsys vfs.FS, reg *obs.Registry) Options {
 		return Options{FS: fsys, MaxSegmentBytes: crashSegSize, Metrics: reg}
@@ -318,7 +306,7 @@ func TestPowerCutAtEveryBoundary(t *testing.T) {
 // drive is lying — but reopen must still never fail and the log must still
 // parse to a usable store.
 func TestPowerCutWithLyingFsync(t *testing.T) {
-	seed := crashSeed(t)
+	seed := fault.SeedFromEnv(2026)
 	const dir = "store"
 	for _, crashAt := range []int64{25, 100, 400} {
 		flt := vfs.NewFault(vfs.FaultConfig{Seed: seed, CrashAt: crashAt, DropSyncRate: 1})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"stir/internal/core"
 	"stir/internal/obs"
@@ -122,8 +123,8 @@ func (e *Engine) Checkpoint() error {
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	span := e.tracer.Start("stream_checkpoint")
-	defer span.End()
+	start := time.Now()
+	defer func() { e.mCheckpointStage.ObserveDuration(time.Since(start)) }()
 	_, dspan := e.cfg.Trace.Root(context.Background(), "stream.checkpoint")
 	defer dspan.End()
 	e.Drain()
@@ -218,7 +219,7 @@ func (e *Engine) Checkpoint() error {
 	e.curMu.Unlock()
 	e.checkpoints.Add(1)
 	e.reg.Counter("stream_checkpoints_total").Inc()
-	e.reg.Histogram("stream_checkpoint_seconds", obs.DefBuckets).ObserveDuration(span.End())
+	e.reg.Histogram("stream_checkpoint_seconds", obs.DefBuckets).ObserveDuration(time.Since(start))
 	if dspan != nil {
 		dirty := 0
 		for _, t := range takenSets {

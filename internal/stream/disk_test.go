@@ -107,3 +107,34 @@ func TestCheckpointDefersOnDiskFullAndHeals(t *testing.T) {
 		t.Fatal("Stats().DiskDegraded true after heal")
 	}
 }
+
+// TestStageSecondsOncePerRun checks that one Checkpoint and one Snapshot each
+// add exactly one observation to stir_stage_seconds, and that the checkpoint
+// also lands once in stream_checkpoint_seconds.
+func TestStageSecondsOncePerRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := storage.Open("ckpt", storage.Options{FS: vfs.NewMem(1), Metrics: obs.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	eng, _ := plainEngine(t, func(c *Config) {
+		c.Store = store
+		c.Metrics = reg
+	})
+	eng.Ingest(geoTweet(1, 10, 1))
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Snapshot()
+
+	snap := reg.Snapshot()
+	for _, stage := range []string{"stream_checkpoint", "stream_snapshot"} {
+		if m, ok := snap.Get(obs.StageHistogram, "stage", stage); !ok || m.Count != 1 {
+			t.Errorf("%s{stage=%q}: %d observations (ok=%v), want 1", obs.StageHistogram, stage, m.Count, ok)
+		}
+	}
+	if m, ok := snap.Get("stream_checkpoint_seconds"); !ok || m.Count != 1 {
+		t.Errorf("stream_checkpoint_seconds: %d observations (ok=%v), want 1", m.Count, ok)
+	}
+}

@@ -141,7 +141,6 @@ type shard struct {
 type Engine struct {
 	cfg    Config
 	reg    *obs.Registry
-	tracer *obs.Tracer
 	shards []*shard
 
 	ctx    context.Context // bounds resolver/profile calls; dies at Close
@@ -176,8 +175,10 @@ type Engine struct {
 	// Counters restored from a checkpoint, folded into Stats.
 	restored restoredCounters
 
-	mIngested []*obs.Counter
-	mDropped  []*obs.Counter
+	mIngested        []*obs.Counter
+	mDropped         []*obs.Counter
+	mSnapshotStage   *obs.Histogram
+	mCheckpointStage *obs.Histogram
 }
 
 type restoredCounters struct {
@@ -207,10 +208,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	reg := obs.Or(cfg.Metrics)
 	e := &Engine{
-		cfg:    cfg,
-		reg:    reg,
-		tracer: obs.NewTracer(reg),
-		done:   make(chan struct{}),
+		cfg:  cfg,
+		reg:  reg,
+		done: make(chan struct{}),
+		// One stir_stage_seconds observation per Snapshot and Checkpoint.
+		mSnapshotStage:   reg.Histogram(obs.StageHistogram, obs.DefBuckets, "stage", "stream_snapshot"),
+		mCheckpointStage: reg.Histogram(obs.StageHistogram, obs.DefBuckets, "stage", "stream_checkpoint"),
 	}
 	e.ctx, e.cancel = context.WithCancel(context.Background())
 	e.shards = make([]*shard, cfg.Shards)

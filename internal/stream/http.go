@@ -23,20 +23,10 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
-type groupStatView struct {
-	Group                string  `json:"group"`
-	Users                int     `json:"users"`
-	UserShare            float64 `json:"user_share"`
-	Tweets               int     `json:"tweets"`
-	TweetShare           float64 `json:"tweet_share"`
-	AvgDistinctDistricts float64 `json:"avg_distinct_districts"`
-	AvgMatchShare        float64 `json:"avg_match_share"`
-}
-
 type groupsResponse struct {
 	Users               int             `json:"users"`
 	Tweets              int             `json:"tweets"`
-	Groups              []groupStatView `json:"groups"`
+	Groups              []core.GroupRow `json:"groups"`
 	OverallAvgDistricts float64         `json:"overall_avg_districts"`
 	OverallMatchShare   float64         `json:"overall_match_share"`
 }
@@ -69,26 +59,14 @@ func (e *Engine) handleGroups(w http.ResponseWriter, r *http.Request) {
 		jsonReply(w, http.StatusMethodNotAllowed, httpError{Error: "GET only"})
 		return
 	}
-	snap := e.Snapshot()
-	resp := groupsResponse{
-		Users:               snap.Analysis.Users,
-		Tweets:              snap.Analysis.Tweets,
-		Groups:              make([]groupStatView, 0, core.NumGroups),
-		OverallAvgDistricts: snap.Analysis.OverallAvgDistricts,
-		OverallMatchShare:   snap.Analysis.OverallMatchShare,
-	}
-	for _, gs := range snap.Analysis.Groups {
-		resp.Groups = append(resp.Groups, groupStatView{
-			Group:                gs.Group.String(),
-			Users:                gs.Users,
-			UserShare:            gs.UserShare,
-			Tweets:               gs.Tweets,
-			TweetShare:           gs.TweetShare,
-			AvgDistinctDistricts: gs.AvgDistinctDistricts,
-			AvgMatchShare:        gs.AvgMatchShare,
-		})
-	}
-	jsonReply(w, http.StatusOK, resp)
+	a := e.Snapshot().Analysis
+	jsonReply(w, http.StatusOK, groupsResponse{
+		Users:               a.Users,
+		Tweets:              a.Tweets,
+		Groups:              a.Rows(),
+		OverallAvgDistricts: a.OverallAvgDistricts,
+		OverallMatchShare:   a.OverallMatchShare,
+	})
 }
 
 func (e *Engine) handleUser(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"sort"
+	"time"
 
 	"stir/internal/core"
 	"stir/internal/twitter"
@@ -41,10 +42,11 @@ func (e *Engine) Groupings() []core.UserGrouping {
 // Snapshot materialises the current per-user groupings and their §IV
 // analysis.
 func (e *Engine) Snapshot() Snapshot {
-	span := e.tracer.Start("stream_snapshot")
-	defer span.End()
+	start := time.Now()
 	gs := e.Groupings()
-	return Snapshot{Groupings: gs, Analysis: core.Analyze(gs)}
+	snap := Snapshot{Groupings: gs, Analysis: core.Analyze(gs)}
+	e.mSnapshotStage.ObserveDuration(time.Since(start))
+	return snap
 }
 
 // UserView is the live per-user answer: group, rank and reliability weight.

@@ -1,7 +1,7 @@
 # STIR build targets. `make verify` is the full pre-merge gate: tier-1
 # (build + tests) plus vet, a race pass over the instrumented packages
 # (where the obs middleware and crawl/pipeline counters run concurrently),
-# the chaos suites and the benchmark's own tests.
+# the chaos suites, a short fuzzing pass and the benchmark's own tests.
 # `make chaos` replays the seeded fault-injection suite under -race.
 # `make bench` runs the end-to-end benchmark declared in BENCHMARK.json.
 
@@ -13,7 +13,7 @@ CHAOS_SEED ?= 2026
 # The workloads BENCHMARK.json declares, each run by perfbench/run.sh.
 BENCH_WORKLOADS = firehose geo-dense cluster batch
 
-.PHONY: build test vet race verify chaos cluster-chaos partition-chaos disk-chaos crash load bench bench-test bench-obs bench-stream bench-cluster bench-geocode profile
+.PHONY: build test vet race verify chaos cluster-chaos partition-chaos disk-chaos crash load bench bench-test bench-obs bench-stream bench-cluster bench-geocode profile fuzz
 
 # Every chaos target reads the one seed variable, STIR_FAULT_SEED.
 chaos cluster-chaos partition-chaos disk-chaos crash: export STIR_FAULT_SEED = $(CHAOS_SEED)
@@ -31,7 +31,13 @@ vet:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/resilience/... ./internal/twitter/... ./internal/geocode/... ./internal/geofast/... ./internal/pipeline/... ./internal/storage/... ./internal/ratelimit/... ./internal/stream/... ./internal/overload/... ./internal/daemon/... ./internal/logx ./internal/leaktest ./internal/cluster/... ./cmd/stir/...
 
-verify: build vet test race crash cluster-chaos partition-chaos disk-chaos bench-test
+verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
+
+# Short coverage-guided fuzzing of the decoders that read wire bytes, one
+# target per line (go test -fuzz takes one target at a time). Seeds live
+# under each package's testdata/fuzz; a crasher is written there too.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzUnmarshalResultSet -fuzztime 10s ./internal/geocode/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race
@@ -104,8 +110,9 @@ bench-cluster:
 	$(GO) test -run xxx -bench BenchmarkClusterIngest -benchtime 1s ./internal/cluster/
 	$(GO) test -run xxx -bench BenchmarkClusterScatterGroups -benchtime 300x ./internal/cluster/
 
-# Embedded reverse-geocoding micro-benchmarks: the compiled cell grid's bulk and single-point hot paths against the R-tree
-# walk it replaces. Floor: >=10M points/sec, 0 allocs/op on ResolveBulk.
+# Reverse-geocoding grid micro-benchmarks: the compiled cell grid behind `geocoded -fast` (bulk and single-point hot paths)
+# against the R-tree walk the in-process resolver runs, plus the grid's compile cost. Floor: >=10M points/sec, 0 allocs/op
+# on ResolveBulk.
 bench-geocode:
 	$(GO) test -run xxx -bench 'BenchmarkGeofast|BenchmarkRTree' -benchtime 2s ./internal/geofast/
 

@@ -308,13 +308,6 @@ func BenchmarkAblationGranularity(b *testing.B) {
 // an effective cache.
 func BenchmarkAblationGeocodeCache(b *testing.B) {
 	e := getEnv(b)
-	gazFn := func(p geo.Point, slack float64) (geocode.Location, error) {
-		d, err := e.gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return geocode.Location{}, err
-		}
-		return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}
 	ctx := context.Background()
 	run := func(b *testing.B, r *geocode.DirectResolver) {
 		for i := 0; i < b.N; i++ {
@@ -325,12 +318,12 @@ func BenchmarkAblationGeocodeCache(b *testing.B) {
 		}
 	}
 	b.Run("cached", func(b *testing.B) {
-		r := geocode.NewDirectResolver(gazFn, 10, 65536)
+		r := geocode.NewGazetteerResolver(e.gaz, 10, 65536)
 		r.SetQuantizeDecimals(2)
 		run(b, r)
 	})
 	b.Run("uncached", func(b *testing.B) {
-		r := geocode.NewDirectResolver(gazFn, 10, 1)
+		r := geocode.NewGazetteerResolver(e.gaz, 10, 1)
 		r.SetQuantizeDecimals(2)
 		run(b, r)
 	})
@@ -599,14 +592,8 @@ func BenchmarkTemporalProfile(b *testing.B) {
 func BenchmarkHomePrediction(b *testing.B) {
 	e := getEnv(b)
 	pred := &homeloc.Predictor{
-		Gaz: e.gaz,
-		Resolver: geocode.NewDirectResolver(func(p geo.Point, slack float64) (geocode.Location, error) {
-			d, err := e.gaz.ResolvePoint(p, slack)
-			if err != nil {
-				return geocode.Location{}, err
-			}
-			return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-		}, 10, 65536),
+		Gaz:      e.gaz,
+		Resolver: geocode.NewGazetteerResolver(e.gaz, 10, 65536),
 	}
 	var tweets []*twitter.Tweet
 	e.dataset.Service.EachTweet(func(t *twitter.Tweet) bool {

@@ -13,7 +13,6 @@ import (
 	"stir"
 	"stir/internal/cluster"
 	"stir/internal/daemon"
-	"stir/internal/geofast"
 	"stir/internal/obs"
 	"stir/internal/overload"
 	"stir/internal/storage"
@@ -39,7 +38,6 @@ func runWorker(args []string) error {
 	buffer := fs.Int("buffer", stream.DefaultBuffer, "per-shard queue capacity")
 	ckptDir := fs.String("checkpoint", "", "checkpoint store directory (enables crash-safe resume and handoff recovery)")
 	ckptEvery := fs.Duration("checkpoint-every", 10*time.Second, "periodic checkpoint interval (needs -checkpoint)")
-	geocodeEmbedded := fs.Bool("geocode-embedded", false, "reverse-geocode through the compiled geofast grid (identical output, no R-tree walk)")
 	over := daemon.OverloadFlags(fs)
 	traces := daemon.TraceFlags(fs)
 	disk := daemon.DiskFlags(fs)
@@ -68,14 +66,6 @@ func runWorker(args []string) error {
 		Metrics:  obs.Default,
 	})
 	resolver := stream.NewGazetteerResolver(ds.Gazetteer, 10)
-	if *geocodeEmbedded {
-		er, err := stream.NewEmbeddedResolver(ds.Gazetteer, 10)
-		if err != nil {
-			return err
-		}
-		geofast.RegisterMetrics(obs.Default, "worker", er.Grid())
-		resolver = er
-	}
 	eng, err := stream.New(stream.Config{
 		Shards: *shards,
 		Buffer: *buffer,

@@ -65,7 +65,6 @@ import (
 	"stir/internal/admin"
 	"stir/internal/daemon"
 	"stir/internal/geocode"
-	"stir/internal/geofast"
 	"stir/internal/obs"
 	"stir/internal/overload"
 	"stir/internal/report"
@@ -143,9 +142,8 @@ func resilienceFlags(fs *flag.FlagSet) func() stir.AnalyzeOptions {
 	cont := fs.Bool("continue-on-error", false, "degraded mode: skip users whose processing fails instead of aborting")
 	rate := fs.Float64("fault-rate", 0, "inject transient geocode faults at this total rate (chaos runs)")
 	fseed := fs.Int64("fault-seed", fault.SeedFromEnv(1), "fault-injection schedule seed ("+fault.EnvSeed+")")
-	embedded := fs.Bool("geocode-embedded", false, "compile the gazetteer into the geofast grid and reverse-geocode at memory speed (identical output)")
 	return func() stir.AnalyzeOptions {
-		return stir.AnalyzeOptions{ContinueOnError: *cont, FaultRate: *rate, FaultSeed: *fseed, EmbeddedGeocode: *embedded}
+		return stir.AnalyzeOptions{ContinueOnError: *cont, FaultRate: *rate, FaultSeed: *fseed}
 	}
 }
 
@@ -457,7 +455,6 @@ func runStream(args []string) error {
 	ckptEvery := fs.Duration("checkpoint-every", 10*time.Second, "periodic checkpoint interval (needs -checkpoint)")
 	duration := fs.Duration("duration", 0, "keep serving this long after the replay drains (0 = exit once drained)")
 	geocodeURL := fs.String("geocode", "", "reverse-geocode through this HTTP service (cmd/geocoded) instead of in-process")
-	geocodeEmbedded := fs.Bool("geocode-embedded", false, "reverse-geocode through the compiled geofast grid (identical output, no R-tree walk)")
 	over := daemon.OverloadFlags(fs)
 	traces := daemon.TraceFlags(fs)
 	disk := daemon.DiskFlags(fs)
@@ -509,21 +506,9 @@ func runStream(args []string) error {
 	})
 	// -geocode swaps the in-process gazetteer for the HTTP hop through
 	// geocoded — the cross-daemon path whose traces span three services.
-	// -geocode-embedded swaps it for the compiled geofast grid instead.
-	if *geocodeURL != "" && *geocodeEmbedded {
-		return fmt.Errorf("-geocode and -geocode-embedded are mutually exclusive")
-	}
 	var resolver geocode.Resolver = stream.NewGazetteerResolver(ds.Gazetteer, 10)
 	if *geocodeURL != "" {
 		resolver = geocode.NewClient(*geocodeURL, 65536)
-	}
-	if *geocodeEmbedded {
-		er, err := stream.NewEmbeddedResolver(ds.Gazetteer, 10)
-		if err != nil {
-			return err
-		}
-		geofast.RegisterMetrics(obs.Default, "stream", er.Grid())
-		resolver = er
 	}
 	eng, err := stream.New(stream.Config{
 		Shards:       *shards,

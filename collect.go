@@ -10,6 +10,7 @@ import (
 	"stir/internal/geo"
 	"stir/internal/geocode"
 	"stir/internal/obs/trace"
+	"stir/internal/pipeline"
 	"stir/internal/storage"
 	"stir/internal/twitter"
 )
@@ -112,11 +113,6 @@ type AnalyzeOptions struct {
 	GeocodeURL string
 	// World selects the worldwide gazetteer (default Korean).
 	World bool
-	// EmbeddedGeocode compiles the gazetteer into the geofast cell grid and
-	// resolves points in-process at memory speed instead of through the
-	// DirectResolver's R-tree walk. Grouping output is identical. Ignored
-	// when GeocodeURL is set (the HTTP hop wins).
-	EmbeddedGeocode bool
 	// ContinueOnError runs the pipeline in degraded mode: users whose
 	// processing fails are skipped and reported in Result.SkippedUsers
 	// instead of aborting the run.
@@ -154,10 +150,7 @@ func AnalyzeStore(ctx context.Context, opts AnalyzeOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := buildPipeline(gaz, opts)
-	if err != nil {
-		return nil, err
-	}
+	p := pipeline.New(gaz, 10)
 	if opts.GeocodeURL != "" {
 		p.Resolver = geocode.NewClient(opts.GeocodeURL, 65536)
 	}

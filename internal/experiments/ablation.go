@@ -91,18 +91,11 @@ func AblationGeocodeCache(ctx context.Context, sc Scale) (*Outcome, error) {
 		}
 		return true
 	})
-	gazFn := func(p geo.Point, slack float64) (geocode.Location, error) {
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return geocode.Location{}, err
-		}
-		return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}
 	// County-level grouping tolerates ~1 km quantisation, which is what
 	// makes the cache effective; the pipeline's default is finer.
-	cached := geocode.NewDirectResolver(gazFn, 10, 65536)
+	cached := geocode.NewGazetteerResolver(gaz, 10, 65536)
 	cached.SetQuantizeDecimals(2)
-	tiny := geocode.NewDirectResolver(gazFn, 10, 1) // effectively uncached
+	tiny := geocode.NewGazetteerResolver(gaz, 10, 1) // effectively uncached
 	tiny.SetQuantizeDecimals(2)
 	for _, p := range points {
 		if _, err := cached.Reverse(ctx, p); err != nil && err != geocode.ErrNoMatch {

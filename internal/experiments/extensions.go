@@ -7,7 +7,6 @@ import (
 
 	"stir"
 	"stir/internal/admin"
-	"stir/internal/geo"
 	"stir/internal/geocode"
 	"stir/internal/homeloc"
 	"stir/internal/report"
@@ -87,14 +86,8 @@ func (s *Suite) X2HomePrediction(ctx context.Context) (*Outcome, error) {
 		return nil, err
 	}
 	pred := &homeloc.Predictor{
-		Gaz: gaz,
-		Resolver: geocode.NewDirectResolver(func(p geo.Point, slack float64) (geocode.Location, error) {
-			d, err := gaz.ResolvePoint(p, slack)
-			if err != nil {
-				return geocode.Location{}, err
-			}
-			return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-		}, 10, 65536),
+		Gaz:      gaz,
+		Resolver: geocode.NewGazetteerResolver(gaz, 10, 65536),
 	}
 	byUser := tweetsByUser(s.KoreanDS)
 	agree := map[stir.Group][2]int{} // group -> [agreements, evaluated]

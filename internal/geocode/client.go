@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"stir/internal/admin"
 	"stir/internal/geo"
 	"stir/internal/obs"
 	"stir/internal/obs/trace"
@@ -310,13 +311,30 @@ type DirectResolver struct {
 	quant   int
 }
 
-// GazetteerFunc adapts admin.Gazetteer.ResolvePoint without importing the
-// package here (avoids a dependency cycle when admin wants geocode types).
+// GazetteerFunc resolves one quantised point to a district. Tests inject
+// fakes through it; NewGazetteerResolver adapts an admin.Gazetteer.
 type GazetteerFunc func(p geo.Point, slackKm float64) (Location, error)
 
 // NewDirectResolver builds an in-process resolver with an LRU of cacheSize.
 func NewDirectResolver(fn GazetteerFunc, slackKm float64, cacheSize int) *DirectResolver {
 	return &DirectResolver{Gaz: fn, SlackKm: slackKm, cache: newLRUCache[Location](cacheSize), quant: 3}
+}
+
+// NewGazetteerResolver is the in-process reverse geocoder over gaz: district
+// point resolution behind an LRU of cacheSize. slackKm follows the Server
+// rule: 0 means the 10 km default, negative disables the nearest-district
+// fallback.
+func NewGazetteerResolver(gaz *admin.Gazetteer, slackKm float64, cacheSize int) *DirectResolver {
+	if slackKm == 0 {
+		slackKm = 10
+	}
+	return NewDirectResolver(func(p geo.Point, slack float64) (Location, error) {
+		d, err := gaz.ResolvePoint(p, slack)
+		if err != nil {
+			return Location{}, err
+		}
+		return Location{Country: d.Country, State: d.State, County: d.County}, nil
+	}, slackKm, cacheSize)
 }
 
 // Reverse implements Resolver.

@@ -216,6 +216,28 @@ func TestDirectResolver(t *testing.T) {
 	}
 }
 
+// TestGazetteerResolverSlack pins the constructor's slack rule, the one the
+// Server uses: 0 means the 10 km default, negative disables the
+// nearest-district fallback. The probe lies off Jeju's south coast, outside
+// every district extent but within 10 km of Seogwipo-si.
+func TestGazetteerResolverSlack(t *testing.T) {
+	gaz, err := admin.NewKoreaGazetteer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offshore := geo.Point{Lat: 33.10, Lon: 126.55}
+	ctx := context.Background()
+	for _, slack := range []float64{0, 10} {
+		loc, err := NewGazetteerResolver(gaz, slack, 8).Reverse(ctx, offshore)
+		if err != nil || loc.County != "Seogwipo-si" {
+			t.Fatalf("slack %v: %+v, %v; want the Seogwipo-si fallback", slack, loc, err)
+		}
+	}
+	if loc, err := NewGazetteerResolver(gaz, -1, 8).Reverse(ctx, offshore); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("negative slack resolved %+v, %v; want ErrNoMatch", loc, err)
+	}
+}
+
 func TestServerQualityAttr(t *testing.T) {
 	srv, _ := startGeocode(t, ServerOptions{SlackKm: 50})
 	// A point in the sea near Busan should resolve as "nearest".

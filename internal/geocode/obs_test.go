@@ -21,14 +21,7 @@ func TestStatsProviderUnified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn := func(p geo.Point, slack float64) (Location, error) {
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return Location{}, err
-		}
-		return Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}
-	dr := NewDirectResolver(fn, 10, 8)
+	dr := NewGazetteerResolver(gaz, 10, 8)
 	seoul := geo.Point{Lat: 37.5665, Lon: 126.978}
 	ctx := context.Background()
 	if _, err := dr.Reverse(ctx, seoul); err != nil {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"stir/internal/admin"
-	"stir/internal/geo"
 	"stir/internal/geocode"
 	"stir/internal/synth"
 	"stir/internal/twitter"
@@ -21,13 +20,7 @@ func newPredictor(t testing.TB) (*Predictor, *admin.Gazetteer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolver := geocode.NewDirectResolver(func(p geo.Point, slack float64) (geocode.Location, error) {
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return geocode.Location{}, err
-		}
-		return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}, 10, 4096)
+	resolver := geocode.NewGazetteerResolver(gaz, 10, 4096)
 	return &Predictor{Gaz: gaz, Resolver: resolver}, gaz
 }
 

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"stir/internal/geocode"
-	"stir/internal/geofast"
 	"stir/internal/obs"
 )
 
@@ -45,8 +44,5 @@ func publishFunnel(reg *obs.Registry, f Funnel) {
 func registerResolverMetrics(reg *obs.Registry, r geocode.Resolver) {
 	if p, ok := r.(geocode.StatsProvider); ok {
 		geocode.RegisterCacheMetrics(reg, "pipeline", p)
-	}
-	if e, ok := r.(*geocode.EmbeddedResolver); ok {
-		geofast.RegisterMetrics(reg, "pipeline", e.Grid())
 	}
 }

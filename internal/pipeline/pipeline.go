@@ -98,36 +98,14 @@ type Pipeline struct {
 	Trace *trace.Tracer
 }
 
-// New builds a pipeline with an in-process resolver over gaz.
+// New builds a pipeline with the in-process resolver over gaz
+// (geocode.NewGazetteerResolver; slackKm 0 means the 10 km default).
 func New(gaz *admin.Gazetteer, slackKm float64) *Pipeline {
-	resolver := geocode.NewDirectResolver(func(p geo.Point, slack float64) (geocode.Location, error) {
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return geocode.Location{}, err
-		}
-		return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}, slackKm, 65536)
 	return &Pipeline{
 		Refiner:   textnorm.NewRefiner(gaz),
-		Resolver:  resolver,
+		Resolver:  geocode.NewGazetteerResolver(gaz, slackKm, 65536),
 		Gazetteer: gaz,
 	}
-}
-
-// NewEmbedded builds a pipeline on the geofast embedded resolver: gaz is
-// compiled into a cell→district grid once, and the per-point hot path skips
-// the R-tree and the LRU entirely except on boundary cells. Grouping output
-// is identical to New (same quantisation, same gazetteer semantics).
-func NewEmbedded(gaz *admin.Gazetteer, slackKm float64) (*Pipeline, error) {
-	resolver, err := geocode.CompileEmbedded(gaz, slackKm)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{
-		Refiner:   textnorm.NewRefiner(gaz),
-		Resolver:  resolver,
-		Gazetteer: gaz,
-	}, nil
 }
 
 // Run processes a collected dataset. users maps ID to account; tweets maps

@@ -167,12 +167,11 @@ func TestStreamCheckpointResumeMatchesBatch(t *testing.T) {
 	assertMatchesBatch(t, again, res)
 }
 
-// TestStreamEmbeddedMatchesBatchAndHTTP is the geofast acceptance
-// differential: the same shuffled firehose drained through (a) an engine on
-// the embedded grid resolver and (b) an engine on the HTTP client against a
-// Fast geocoded server must both produce groupings and analysis
-// byte-for-byte equal to the batch pipeline's R-tree path.
-func TestStreamEmbeddedMatchesBatchAndHTTP(t *testing.T) {
+// TestStreamHTTPGeocodeMatchesBatch is the cross-daemon geocode
+// differential: a shuffled firehose drained through an engine on the HTTP
+// client against a Fast geocoded server must produce groupings and analysis
+// byte-for-byte equal to the batch pipeline's in-process R-tree path.
+func TestStreamHTTPGeocodeMatchesBatch(t *testing.T) {
 	ds := testDataset(t, 500, 13)
 	res, err := ds.Analyze(context.Background())
 	if err != nil {
@@ -183,44 +182,24 @@ func TestStreamEmbeddedMatchesBatchAndHTTP(t *testing.T) {
 		tweets[i], tweets[j] = tweets[j], tweets[i]
 	})
 
-	drain := func(resolver geocode.Resolver) *Engine {
-		t.Helper()
-		cfg := Config{
-			Profiles: NewProfileResolver(ServiceLookup(ds.Service),
-				textnorm.NewRefiner(ds.Gazetteer), resolver, ds.Gazetteer),
-			Resolver: resolver,
-			Metrics:  obs.NewRegistry(),
-		}
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tw := range tweets {
-			if !eng.Ingest(tw) {
-				t.Fatal("Ingest refused a tweet on an open engine")
-			}
-		}
-		eng.Drain()
-		return eng
-	}
-
-	// Embedded grid resolver: the in-process memory-speed path.
-	embedded, err := NewEmbeddedResolver(ds.Gazetteer, 10)
+	srv := httptest.NewServer(geocode.NewServer(ds.Gazetteer, geocode.ServerOptions{Fast: true}))
+	defer srv.Close()
+	resolver := geocode.NewClient(srv.URL, 65536)
+	eng, err := New(Config{
+		Profiles: NewProfileResolver(ServiceLookup(ds.Service),
+			textnorm.NewRefiner(ds.Gazetteer), resolver, ds.Gazetteer),
+		Resolver: resolver,
+		Metrics:  obs.NewRegistry(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := drain(embedded)
 	defer eng.Close()
-	assertMatchesBatch(t, eng, res)
-	if st := embedded.Grid().Stats(); st.Lookups == 0 {
-		t.Fatal("embedded engine never consulted the grid")
+	for _, tw := range tweets {
+		if !eng.Ingest(tw) {
+			t.Fatal("Ingest refused a tweet on an open engine")
+		}
 	}
-
-	// HTTP client against a grid-accelerated geocoded server: the metered
-	// path with the same grid behind it.
-	srv := httptest.NewServer(geocode.NewServer(ds.Gazetteer, geocode.ServerOptions{Fast: true}))
-	defer srv.Close()
-	httpEng := drain(geocode.NewClient(srv.URL, 65536))
-	defer httpEng.Close()
-	assertMatchesBatch(t, httpEng, res)
+	eng.Drain()
+	assertMatchesBatch(t, eng, res)
 }

@@ -6,7 +6,6 @@ import (
 
 	"stir/internal/admin"
 	"stir/internal/core"
-	"stir/internal/geo"
 	"stir/internal/geocode"
 	"stir/internal/textnorm"
 	"stir/internal/twitter"
@@ -73,28 +72,8 @@ func NewProfileResolver(lookup UserLookup, refiner *textnorm.Refiner, resolver g
 }
 
 // NewGazetteerResolver builds the same in-process reverse geocoder the batch
-// pipeline runs on (pipeline.New): district point resolution with the given
-// slack, behind the geocode cache.
+// pipeline runs on (pipeline.New): geocode.NewGazetteerResolver behind a
+// 65536-entry cache.
 func NewGazetteerResolver(gaz *admin.Gazetteer, slackKm float64) geocode.Resolver {
-	if slackKm <= 0 {
-		slackKm = 10
-	}
-	return geocode.NewDirectResolver(func(p geo.Point, slack float64) (geocode.Location, error) {
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return geocode.Location{}, err
-		}
-		return geocode.Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}, slackKm, 65536)
-}
-
-// NewEmbeddedResolver builds the geofast-backed equivalent of
-// NewGazetteerResolver: the gazetteer is compiled into a cell grid once and
-// per-tweet resolution runs at memory speed, falling back to the exact
-// R-tree walk only on boundary cells. Results are identical.
-func NewEmbeddedResolver(gaz *admin.Gazetteer, slackKm float64) (*geocode.EmbeddedResolver, error) {
-	if slackKm <= 0 {
-		slackKm = 10
-	}
-	return geocode.CompileEmbedded(gaz, slackKm)
+	return geocode.NewGazetteerResolver(gaz, slackKm, 65536)
 }

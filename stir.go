@@ -176,26 +176,13 @@ func (d *Dataset) Analyze(ctx context.Context) (*Result, error) {
 // schedule. The store-related AnalyzeOptions fields are ignored here.
 func (d *Dataset) AnalyzeWith(ctx context.Context, opts AnalyzeOptions) (*Result, error) {
 	users, tweets := pipeline.CollectFromService(d.Service)
-	p, err := buildPipeline(d.Gazetteer, opts)
-	if err != nil {
-		return nil, err
-	}
+	p := pipeline.New(d.Gazetteer, 10)
 	applyResilience(p, opts)
 	r, err := p.Run(ctx, users, tweets)
 	if err != nil {
 		return nil, err
 	}
 	return resultOf(r), nil
-}
-
-// buildPipeline constructs the analysis pipeline over gaz, on the geofast
-// embedded resolver when requested (the resolver swap happens before
-// applyResilience so fault injection wraps whichever resolver runs).
-func buildPipeline(gaz *admin.Gazetteer, opts AnalyzeOptions) (*pipeline.Pipeline, error) {
-	if opts.EmbeddedGeocode {
-		return pipeline.NewEmbedded(gaz, 10)
-	}
-	return pipeline.New(gaz, 10), nil
 }
 
 // applyResilience wires the shared resilience knobs into a pipeline.

@@ -1,9 +1,7 @@
 package stir
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -165,28 +163,5 @@ func TestDatasetOptionDefaults(t *testing.T) {
 	ew.fill("world")
 	if ew.Epicenter == e.Epicenter {
 		t.Fatal("world default epicentre should differ")
-	}
-}
-
-// TestEmbeddedGeocodeMatchesDefault pins the end-to-end contract of the
-// geofast swap: AnalyzeWith on the embedded grid resolver produces the same
-// funnel, groupings and analysis — byte-for-byte under JSON — as the default
-// R-tree DirectResolver path.
-func TestEmbeddedGeocodeMatchesDefault(t *testing.T) {
-	ds, res := analyzeSmall(t, 3, 1500)
-	fast, err := ds.AnalyzeWith(context.Background(), AnalyzeOptions{EmbeddedGeocode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("embedded-geocode result diverges from default:\nembedded %s\ndefault  %s", got, want)
 	}
 }

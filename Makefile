@@ -27,17 +27,20 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-check the packages that share metric registries across goroutines.
+# Race-check the packages that share metric registries or read-only indexes
+# (the gazetteer's name index behind textnorm) across goroutines.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/resilience/... ./internal/twitter/... ./internal/geocode/... ./internal/geofast/... ./internal/pipeline/... ./internal/storage/... ./internal/ratelimit/... ./internal/stream/... ./internal/overload/... ./internal/daemon/... ./internal/logx ./internal/leaktest ./internal/cluster/... ./cmd/stir/...
+	$(GO) test -race ./internal/textnorm/... ./internal/obs/... ./internal/resilience/... ./internal/twitter/... ./internal/geocode/... ./internal/geofast/... ./internal/pipeline/... ./internal/storage/... ./internal/ratelimit/... ./internal/stream/... ./internal/overload/... ./internal/daemon/... ./internal/logx ./internal/leaktest ./internal/cluster/... ./cmd/stir/...
 
 verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
 
-# Short coverage-guided fuzzing of the decoders that read wire bytes, one
+# Short coverage-guided fuzzing of the decoders that read wire bytes and of
+# the profile-location classifier against its reference, one
 # target per line (go test -fuzz takes one target at a time). Seeds live
 # under each package's testdata/fuzz; a crasher is written there too.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalResultSet -fuzztime 10s ./internal/geocode/
+	$(GO) test -run xxx -fuzz FuzzClassify -fuzztime 10s ./internal/textnorm/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race

@@ -10,8 +10,11 @@
 package admin
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"stir/internal/geo"
 )
@@ -80,22 +83,33 @@ func (d *District) ContainsApprox(p geo.Point) bool {
 // NormalizeName lowercases, trims and collapses interior whitespace and
 // strips decorative punctuation; it is the canonical form for name lookups.
 func NormalizeName(s string) string {
-	s = strings.ToLower(strings.TrimSpace(s))
-	var b strings.Builder
+	var buf [64]byte
+	return string(AppendNormalized(buf[:0], s))
+}
+
+// AppendNormalized appends NormalizeName(s) to dst and returns the extended
+// buffer. Given a buffer with room for the result it does not allocate, so
+// callers can normalise into a stack array and probe Gazetteer.Lookup.
+func AppendNormalized(dst []byte, s string) []byte {
+	s = strings.TrimSpace(s)
+	start := len(dst)
 	lastSpace := false
 	for _, r := range s {
-		switch {
-		case r == ' ' || r == '\t' || r == ',' || r == '.' || r == '_':
-			if !lastSpace && b.Len() > 0 {
-				b.WriteByte(' ')
+		switch r = unicode.ToLower(r); r {
+		case ' ', '\t', ',', '.', '_':
+			if !lastSpace && len(dst) > start {
+				dst = append(dst, ' ')
 				lastSpace = true
 			}
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 			lastSpace = false
 		}
 	}
-	return strings.TrimSpace(b.String())
+	// A trailing delimiter leaves a space, and unicode spaces other than
+	// ' ' and '\t' survive next to delimiters at either end: trim them all.
+	n := copy(dst[start:], bytes.TrimSpace(dst[start:]))
+	return dst[:start+n]
 }
 
 // suffixes that Korean romanised district names carry; names are indexed

@@ -3,6 +3,8 @@ package admin
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"stir/internal/geo"
@@ -14,20 +16,39 @@ import (
 type Gazetteer struct {
 	districts []*District
 	byID      map[string]*District
-	byName    map[string][]*District // normalised name form -> candidates
+	names     map[string]Name        // compiled name index, by normalised form
 	states    map[string][]*District // state name -> its counties
 	index     *gis.RTree
 	bounds    geo.Rect
 }
 
+// Name is one entry of a gazetteer's compiled name index: what one
+// normalised spelling refers to. A form can name districts and a state at
+// once ("gwangju" is Gyeonggi-do's Gwangju-si and the metropolitan city
+// Gwangju); callers that want one meaning prefer the districts, as the
+// profile refiner does.
+type Name struct {
+	// Form is the normalised spelling the entry is filed under.
+	Form string
+	// Districts are the districts whose county name, alias or "state
+	// county" compound has this form, in gazetteer order. The slice is a
+	// read-only view shared with every other caller: it must not be
+	// modified. Its capacity equals its length, so appending copies.
+	Districts []*District
+	// State is the canonical name of the state this form names, or "".
+	State string
+}
+
 // ErrNotFound reports a failed gazetteer lookup.
 var ErrNotFound = errors.New("admin: no district found")
 
-// NewGazetteer indexes the given districts. District IDs must be unique.
+// NewGazetteer indexes the given districts. District IDs must be unique, and
+// no normalised state name, state alias or bare state form may name two
+// different states.
 func NewGazetteer(districts []*District) (*Gazetteer, error) {
 	g := &Gazetteer{
 		byID:   make(map[string]*District),
-		byName: make(map[string][]*District),
+		names:  make(map[string]Name),
 		states: make(map[string][]*District),
 		index:  gis.NewRTree(),
 	}
@@ -49,6 +70,13 @@ func NewGazetteer(districts []*District) (*Gazetteer, error) {
 		}
 		g.indexNames(d)
 	}
+	if err := g.indexStates(); err != nil {
+		return nil, err
+	}
+	for form, n := range g.names {
+		n.Districts = slices.Clip(n.Districts)
+		g.names[form] = n
+	}
 	return g, nil
 }
 
@@ -57,13 +85,13 @@ func (g *Gazetteer) indexNames(d *District) {
 		if form == "" {
 			return
 		}
-		list := g.byName[form]
-		for _, have := range list {
-			if have == d {
-				return
-			}
+		n := g.names[form]
+		if slices.Contains(n.Districts, d) {
+			return
 		}
-		g.byName[form] = append(list, d)
+		n.Form = form
+		n.Districts = append(n.Districts, d)
+		g.names[form] = n
 	}
 	for _, f := range nameForms(d.County) {
 		add(f)
@@ -75,6 +103,57 @@ func (g *Gazetteer) indexNames(d *District) {
 			add(f)
 		}
 	}
+}
+
+// indexStates files the states in precedence order: every canonical state
+// name, then the Korean states' aliases, then their bare forms without the
+// -do suffix ("gyeonggi"). Aliases and bare forms count only for Korean
+// states the gazetteer holds; world "states" are regions that rarely appear
+// alone. A form that would name a second state is an error, so no lookup
+// depends on the order states were added in.
+func (g *Gazetteer) indexStates() error {
+	add := func(form, state string) error {
+		if form == "" {
+			return nil
+		}
+		n := g.names[form]
+		switch n.State {
+		case state:
+			return nil
+		case "":
+			n.Form, n.State = form, state
+			g.names[form] = n
+			return nil
+		default:
+			return fmt.Errorf("admin: name %q refers to both states %q and %q", form, n.State, state)
+		}
+	}
+	var korean []stateRow
+	for _, st := range koreaStates {
+		if _, ok := g.states[st.name]; ok {
+			korean = append(korean, st)
+		}
+	}
+	for _, state := range g.States() {
+		if err := add(NormalizeName(state), state); err != nil {
+			return err
+		}
+	}
+	for _, st := range korean {
+		for _, a := range st.aliases {
+			if err := add(NormalizeName(a), st.name); err != nil {
+				return err
+			}
+		}
+	}
+	for _, st := range korean {
+		for _, f := range nameForms(st.name) {
+			if err := add(f, st.name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // NewKoreaGazetteer returns the gazetteer for the paper's Korean dataset.
@@ -164,18 +243,29 @@ func (g *Gazetteer) ResolvePoint(p geo.Point, slackKm float64) (*District, error
 	return best, nil
 }
 
-// ResolveName returns all districts whose name or alias matches the
-// normalised form of name. Multiple results mean the name is ambiguous
-// (e.g. "Jung-gu" exists in several metropolitan cities).
-func (g *Gazetteer) ResolveName(name string) []*District {
-	out := g.byName[NormalizeName(name)]
-	// Copy to keep internal state immutable for callers.
-	if len(out) == 0 {
-		return nil
+// Lookup probes the compiled name index with an already normalised form, the
+// output of NormalizeName or AppendNormalized. It returns the zero Name when
+// the form names nothing, and it does not allocate.
+func (g *Gazetteer) Lookup(form []byte) Name { return g.names[string(form)] }
+
+// Names returns every entry of the compiled name index, in no fixed order.
+func (g *Gazetteer) Names() iter.Seq[Name] {
+	return func(yield func(Name) bool) {
+		for _, n := range g.names {
+			if !yield(n) {
+				return
+			}
+		}
 	}
-	cp := make([]*District, len(out))
-	copy(cp, out)
-	return cp
+}
+
+// ResolveName returns all districts whose name or alias matches the
+// normalised form of name, or nil. Multiple results mean the name is
+// ambiguous (e.g. "Jung-gu" exists in several metropolitan cities). The
+// slice is a read-only view into the name index: it must not be modified.
+func (g *Gazetteer) ResolveName(name string) []*District {
+	var buf [64]byte
+	return g.Lookup(AppendNormalized(buf[:0], name)).Districts
 }
 
 // ResolveNameInState narrows ResolveName to districts of the given state.
@@ -191,33 +281,11 @@ func (g *Gazetteer) ResolveNameInState(name, state string) []*District {
 
 // IsState reports whether name refers to a first-level division (which the
 // paper treats as insufficient when used alone) and returns its canonical
-// state name.
+// state name. A name can be a state and a district at once; see Name.
 func (g *Gazetteer) IsState(name string) (string, bool) {
-	n := NormalizeName(name)
-	for state := range g.states {
-		if NormalizeName(state) == n {
-			return state, true
-		}
-	}
-	// Check alias tables (Korean states only; world "states" are regions and
-	// rarely appear alone).
-	for state, aliases := range KoreaStateAliases() {
-		if _, ok := g.states[state]; !ok {
-			continue
-		}
-		for _, a := range aliases {
-			if NormalizeName(a) == n {
-				return state, true
-			}
-		}
-		// Also match the bare form without the -do suffix.
-		for _, f := range nameForms(state) {
-			if f == n {
-				return state, true
-			}
-		}
-	}
-	return "", false
+	var buf [64]byte
+	state := g.Lookup(AppendNormalized(buf[:0], name)).State
+	return state, state != ""
 }
 
 // RandomWeights returns the districts and their population weights, for

@@ -2,6 +2,7 @@ package admin
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -326,5 +327,64 @@ func TestNeighborsOf(t *testing.T) {
 		if n.Center.DistanceKm(d.Center) > 15 {
 			t.Errorf("neighbour %s is %0.f km away", n.ID(), n.Center.DistanceKm(d.Center))
 		}
+	}
+}
+
+func TestNewGazetteerRejectsStateCollision(t *testing.T) {
+	seoul := KoreaDistricts()[0]
+	clash := func(state string) *District {
+		return &District{Country: "XX", State: state, County: "Somewhere", Center: seoul.Center, RadiusKm: 1}
+	}
+	// Two canonical names with one normalised form, and a canonical name
+	// that is another state's alias: either way one form names two states.
+	for _, state := range []string{"SEOUL", "서울특별시"} {
+		if _, err := NewGazetteer([]*District{seoul, clash(state)}); err == nil {
+			t.Errorf("state %q next to Seoul was accepted", state)
+		}
+	}
+	if _, err := NewGazetteer([]*District{seoul, clash("Seoulite")}); err != nil {
+		t.Fatalf("distinct state rejected: %v", err)
+	}
+}
+
+// A form can name a district and a state at once; the entry keeps both, and
+// ResolveName and IsState each answer their half.
+func TestNameIndexSharedForms(t *testing.T) {
+	g, err := NewWorldGazetteer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ form, district, state string }{
+		{"gwangju", "KR/Gyeonggi-do/Gwangju-si", "Gwangju"},
+		{"jeju", "KR/Jeju/Jeju-si", "Jeju"},
+		{"sejong", "KR/Sejong/Sejong-si", "Sejong"},
+		{"washington", "US/District of Columbia/Washington", "Washington"},
+		{"new york", "US/New York/New York City", "New York"},
+	}
+	for _, tc := range cases {
+		n := g.Lookup([]byte(tc.form))
+		if n.Form != tc.form || len(n.Districts) != 1 || n.Districts[0].ID() != tc.district || n.State != tc.state {
+			t.Errorf("Lookup(%q) = %q %v %q, want %s and state %s", tc.form, n.Form, districtIDs(n.Districts), n.State, tc.district, tc.state)
+		}
+		if st, ok := g.IsState(tc.form); !ok || st != tc.state {
+			t.Errorf("IsState(%q) = %q,%v", tc.form, st, ok)
+		}
+	}
+}
+
+// ResolveName hands out the index's own slice; it has no spare capacity, so
+// a caller's append copies instead of writing into the index.
+func TestResolveNameViewHasNoSpareCapacity(t *testing.T) {
+	g := mustKorea(t)
+	for n := range g.Names() {
+		if cap(n.Districts) != len(n.Districts) {
+			t.Fatalf("%q: len %d cap %d", n.Form, len(n.Districts), cap(n.Districts))
+		}
+	}
+	view := g.ResolveName("Jung-gu")
+	before := districtIDs(view)
+	_ = append(view, view[0])
+	if after := districtIDs(g.ResolveName("Jung-gu")); !slices.Equal(before, after) {
+		t.Fatalf("append through the view changed the index: %v -> %v", before, after)
 	}
 }

@@ -17,11 +17,11 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strings"
 
 	"stir/internal/admin"
 	"stir/internal/geo"
 	"stir/internal/geocode"
+	"stir/internal/textnorm"
 	"stir/internal/twitter"
 )
 
@@ -123,45 +123,18 @@ func (p *Predictor) Predict(ctx context.Context, tweets []*twitter.Tweet) (Predi
 // mentionVotes scans tweet text for district names, adding (possibly split)
 // votes; returns how many mentions were found.
 func (p *Predictor) mentionVotes(text string, w float64, votes map[string]float64, maxN int) int {
-	norm := admin.NormalizeName(text)
-	if norm == "" {
-		return 0
-	}
-	tokens := strings.Fields(norm)
-	used := make([]bool, len(tokens))
+	var buf [256]byte
 	mentions := 0
-	for n := maxN; n >= 1; n-- {
-		for i := 0; i+n <= len(tokens); i++ {
-			if anyUsed(used, i, n) {
-				continue
-			}
-			frag := strings.Join(tokens[i:i+n], " ")
-			ds := p.Gaz.ResolveName(frag)
-			if len(ds) == 0 {
-				continue
-			}
-			mentions++
-			share := w / float64(len(ds))
-			for _, d := range ds {
-				votes[d.ID()] += share
-			}
-			markUsed(used, i, n)
+	textnorm.ScanNames(p.Gaz, admin.AppendNormalized(buf[:0], text), maxN, func(n admin.Name) bool {
+		if len(n.Districts) == 0 {
+			return false
 		}
-	}
+		mentions++
+		share := w / float64(len(n.Districts))
+		for _, d := range n.Districts {
+			votes[d.ID()] += share
+		}
+		return true
+	})
 	return mentions
-}
-
-func anyUsed(used []bool, i, n int) bool {
-	for j := i; j < i+n; j++ {
-		if used[j] {
-			return true
-		}
-	}
-	return false
-}
-
-func markUsed(used []bool, i, n int) {
-	for j := i; j < i+n; j++ {
-		used[j] = true
-	}
 }

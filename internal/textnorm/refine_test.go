@@ -7,7 +7,7 @@ import (
 	"stir/internal/admin"
 )
 
-func newRefiner(t *testing.T) *Refiner {
+func newRefiner(t testing.TB) *Refiner {
 	t.Helper()
 	gaz, err := admin.NewWorldGazetteer()
 	if err != nil {
@@ -33,6 +33,12 @@ func TestClassifyWellDefined(t *testing.T) {
 		{"Gold Coast Australia", "Gold Coast"},
 		{"NYC", "New York City"},
 		{"Jung-gu, Busan", "Jung-gu"}, // state disambiguates
+		// Spellings that name a state too: the district wins.
+		{"gwangju", "Gwangju-si"},
+		{"jeju", "Jeju-si"},
+		{"sejong", "Sejong-si"},
+		{"washington", "Washington"},
+		{"new york", "New York City"},
 	}
 	for _, tc := range cases {
 		got := r.Classify(tc.in)
@@ -154,22 +160,31 @@ func TestClassifyNoisyRealWorldProfiles(t *testing.T) {
 	}
 }
 
+// BenchmarkClassify times one sub-benchmark per quality bucket, plus the
+// mixed input set earlier versions of this benchmark used.
 func BenchmarkClassify(b *testing.B) {
-	gaz, err := admin.NewWorldGazetteer()
-	if err != nil {
-		b.Fatal(err)
+	r := newRefiner(b)
+	buckets := []struct {
+		name   string
+		inputs []string
+	}{
+		{"mixed", []string{"Yangcheon-gu, Seoul, Korea", "my home", "37.5172, 126.8664", "darangland :)", "Gold Coast Australia"}},
+		{WellDefined.String(), []string{"Yangcheon-gu", "Yangcheon-gu, Seoul, Korea", "I live in Haeundae now", "Jung-gu, Busan"}},
+		{GPSCoordinates.String(), []string{"37.5172, 126.8664", "35.1796 129.0756"}},
+		{Ambiguous.String(), []string{"Jung-gu", "Gold Coast Australia / Yangcheon-gu"}},
+		{Vague.String(), []string{"my home", "in your heart"}},
+		{Insufficient.String(), []string{"Earth", "Seoul", "seoul korea"}},
+		{Meaningless.String(), []string{"darangland :)", "no.where.at.all"}},
 	}
-	r := NewRefiner(gaz)
-	inputs := []string{
-		"Yangcheon-gu, Seoul, Korea",
-		"my home",
-		"37.5172, 126.8664",
-		"darangland :)",
-		"Gold Coast Australia",
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Classify(inputs[i%len(inputs)])
+	for _, bk := range buckets {
+		b.Run(bk.name, func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				r.Classify(bk.inputs[i%len(bk.inputs)])
+				i++
+			}
+		})
 	}
 }
 

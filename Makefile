@@ -34,13 +34,14 @@ race:
 
 verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
 
-# Short coverage-guided fuzzing of the decoders that read wire bytes and of
-# the profile-location classifier against its reference, one
-# target per line (go test -fuzz takes one target at a time). Seeds live
+# Short coverage-guided fuzzing of the decoders that read wire bytes, of
+# the profile-location classifier against its reference and of the §IV
+# summary against Analyze and a math/big sum, one target per line (go test -fuzz takes one target at a time). Seeds live
 # under each package's testdata/fuzz; a crasher is written there too.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalResultSet -fuzztime 10s ./internal/geocode/
 	$(GO) test -run xxx -fuzz FuzzClassify -fuzztime 10s ./internal/textnorm/
+	$(GO) test -run xxx -fuzz FuzzSummary -fuzztime 10s ./internal/core/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stir/internal/core"
 	"stir/internal/logx"
 	"stir/internal/obs"
 	"stir/internal/obs/trace"
@@ -252,10 +253,7 @@ func (w *workerRef) journalDepth() int {
 }
 
 // WorkerError is one worker's failure inside a partial result.
-type WorkerError struct {
-	Worker string `json:"worker"`
-	Error  string `json:"error"`
-}
+type WorkerError = core.WorkerError
 
 // Router consistent-hashes users across stream workers, forwards ingest with
 // retries and per-worker breakers, journals forwards for crash replay, and

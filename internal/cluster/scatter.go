@@ -24,18 +24,9 @@ import (
 // response carries partial=true plus one WorkerError per missing shard, and
 // the HTTP status stays 200 as long as at least one shard answered.
 
-// GroupsResult is the cluster-wide /v1/groups answer.
-type GroupsResult struct {
-	Users               int             `json:"users"`
-	Tweets              int             `json:"tweets"`
-	Groups              []GroupStatView `json:"groups"`
-	OverallAvgDistricts float64         `json:"overall_avg_districts"`
-	OverallMatchShare   float64         `json:"overall_match_share"`
-	Workers             int             `json:"workers"`
-	WorkersOK           int             `json:"workers_ok"`
-	Partial             bool            `json:"partial"`
-	Errors              []WorkerError   `json:"errors,omitempty"`
-}
+// GroupsResult is the cluster-wide /v1/groups answer: the envelope a single
+// worker serves, with the router's worker accounting filled in.
+type GroupsResult = core.GroupsResult
 
 // GroupStatView is the per-group row, the same one a worker serves.
 type GroupStatView = core.GroupRow
@@ -57,6 +48,7 @@ type StatsResult struct {
 	ProfileErrors   int64 `json:"profile_errors"`
 	ResolveErrors   int64 `json:"resolve_errors"`
 	Duplicates      int64 `json:"duplicates"`
+	RejectedTweets  int64 `json:"rejected_tweets"`
 	Dropped         int64 `json:"dropped"`
 	Checkpoints     int64 `json:"checkpoints"`
 
@@ -147,18 +139,11 @@ func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
 	r.mu.RLock()
 	total := len(r.workers)
 	r.mu.RUnlock()
-	a := core.Analyze(gs)
-	res := GroupsResult{
-		Users:               a.Users,
-		Tweets:              a.Tweets,
-		Groups:              a.Rows(),
-		OverallAvgDistricts: a.OverallAvgDistricts,
-		OverallMatchShare:   a.OverallMatchShare,
-		Workers:             total,
-		WorkersOK:           total - len(errs),
-		Partial:             len(errs) > 0,
-		Errors:              errs,
-	}
+	res := core.Analyze(gs).Result()
+	res.Workers = total
+	res.WorkersOK = total - len(errs)
+	res.Partial = len(errs) > 0
+	res.Errors = errs
 	status := http.StatusOK
 	if total > 0 && res.WorkersOK == 0 {
 		status = http.StatusServiceUnavailable
@@ -189,6 +174,7 @@ func (r *Router) Stats(ctx context.Context) (StatsResult, int) {
 		res.ProfileErrors += s.ProfileErrors
 		res.ResolveErrors += s.ResolveErrors
 		res.Duplicates += s.Duplicates
+		res.RejectedTweets += s.RejectedTweets
 		res.Dropped += s.Dropped
 		res.Checkpoints += s.Checkpoints
 	}

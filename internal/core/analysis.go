@@ -31,6 +31,30 @@ type GroupRow struct {
 	AvgMatchShare        float64 `json:"avg_match_share"`
 }
 
+// GroupsResult is the /v1/groups envelope, served by a stream engine and by
+// the cluster router alike. The cluster-only fields stay empty, and so
+// unwritten, on a single engine.
+type GroupsResult struct {
+	Users               int        `json:"users"`
+	Tweets              int        `json:"tweets"`
+	Groups              []GroupRow `json:"groups"`
+	OverallAvgDistricts float64    `json:"overall_avg_districts"`
+	OverallMatchShare   float64    `json:"overall_match_share"`
+	// Workers is how many workers the router asked and WorkersOK how many
+	// answered; Partial marks an answer missing some of them, and Errors
+	// names each missing worker.
+	Workers   int           `json:"workers,omitempty"`
+	WorkersOK int           `json:"workers_ok,omitempty"`
+	Partial   bool          `json:"partial,omitempty"`
+	Errors    []WorkerError `json:"errors,omitempty"`
+}
+
+// WorkerError is one worker's failure inside a partial cluster result.
+type WorkerError struct {
+	Worker string `json:"worker"`
+	Error  string `json:"error"`
+}
+
 // Analysis is the dataset-level result: everything Figures 6-7 and the
 // slides' charts are drawn from.
 type Analysis struct {
@@ -65,49 +89,27 @@ func (a Analysis) Rows() []GroupRow {
 	return rows
 }
 
-// Analyze aggregates user groupings into the paper's per-group statistics.
-// Users with zero geo-tweets are skipped: the paper's refinement only keeps
-// users that have GPS coordinates in their tweets.
+// Result returns a's /v1/groups envelope, with the cluster fields empty.
+func (a Analysis) Result() GroupsResult {
+	return GroupsResult{
+		Users:               a.Users,
+		Tweets:              a.Tweets,
+		Groups:              a.Rows(),
+		OverallAvgDistricts: a.OverallAvgDistricts,
+		OverallMatchShare:   a.OverallMatchShare,
+	}
+}
+
+// Analyze aggregates user groupings into the paper's per-group statistics:
+// a fold of every user's term into a Summary. Users with zero geo-tweets are
+// skipped: the paper's refinement only keeps users that have GPS coordinates
+// in their tweets.
 func Analyze(users []UserGrouping) Analysis {
-	var a Analysis
-	for g := range a.Groups {
-		a.Groups[g].Group = Group(g)
-	}
-	var matchedTweets int
+	var s Summary
 	for _, u := range users {
-		if u.TotalTweets == 0 {
-			continue
-		}
-		g := &a.Groups[u.Group]
-		g.Users++
-		g.Tweets += u.TotalTweets
-		g.AvgDistinctDistricts += float64(u.DistinctDistricts)
-		g.AvgMatchShare += u.MatchShare()
-		a.Users++
-		a.Tweets += u.TotalTweets
-		a.OverallAvgDistricts += float64(u.DistinctDistricts)
-		matchedTweets += u.MatchedTweets
+		s.Add(u.Term())
 	}
-	for g := range a.Groups {
-		st := &a.Groups[g]
-		if st.Users > 0 {
-			st.AvgDistinctDistricts /= float64(st.Users)
-			st.AvgMatchShare /= float64(st.Users)
-		}
-		if a.Users > 0 {
-			st.UserShare = float64(st.Users) / float64(a.Users)
-		}
-		if a.Tweets > 0 {
-			st.TweetShare = float64(st.Tweets) / float64(a.Tweets)
-		}
-	}
-	if a.Users > 0 {
-		a.OverallAvgDistricts /= float64(a.Users)
-	}
-	if a.Tweets > 0 {
-		a.OverallMatchShare = float64(matchedTweets) / float64(a.Tweets)
-	}
-	return a
+	return s.Analysis()
 }
 
 // Stat returns the aggregate row for one group.

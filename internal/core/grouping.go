@@ -84,14 +84,14 @@ type UserGrouping struct {
 	MatchedTweets int
 }
 
+// Term is the user's contribution to the §IV analysis.
+func (u UserGrouping) Term() UserTerm {
+	return UserTerm{Group: u.Group, Tweets: u.TotalTweets, Districts: u.DistinctDistricts, Matched: u.MatchedTweets}
+}
+
 // MatchShare is the fraction of the user's geo-tweets posted from the
 // profile district — the smooth reliability weight (§V).
-func (u UserGrouping) MatchShare() float64 {
-	if u.TotalTweets == 0 {
-		return 0
-	}
-	return float64(u.MatchedTweets) / float64(u.TotalTweets)
-}
+func (u UserGrouping) MatchShare() float64 { return u.Term().Share() }
 
 // BuildUserGrouping runs the method for one user: merge the per-tweet places
 // into counted strings, order them, locate the matched string, classify.

@@ -2,9 +2,13 @@ package stream
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"stir/internal/core"
+	"stir/internal/geo"
+	"stir/internal/geocode"
 	"stir/internal/obs"
 	"stir/internal/twitter"
 )
@@ -49,4 +53,44 @@ func BenchmarkStreamIngest(b *testing.B) {
 		b.Fatalf("processed %d of %d", st.Processed, b.N)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tweets/sec")
+}
+
+// BenchmarkEngineAnalysis measures the query-time cut /v1/groups reads:
+// merging the shard summaries. Its cost and allocations must stay flat in
+// the user count. Tweets land on a spread of places, so users fall in every
+// group with match shares of many denominators.
+func BenchmarkEngineAnalysis(b *testing.B) {
+	places := somePlaces(16)
+	for _, users := range []int{2_000, 20_000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			profiles := func(_ context.Context, id twitter.UserID) (core.Place, bool, error) {
+				return places[int(id)%len(places)], true, nil
+			}
+			eng, err := New(Config{Profiles: profiles, Resolver: placeResolver(places), Metrics: obs.Discard})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			rnd := rand.New(rand.NewSource(1))
+			for i := 0; i < 8*users; i++ {
+				eng.Ingest(geoTweet(int64(i), int64(rnd.Intn(users)), float64(rnd.Intn(len(places)))))
+			}
+			eng.Drain()
+			if a := eng.Analysis(); a.Users < users*9/10 || a.Groups[core.Top2].Users == 0 {
+				b.Fatalf("analysis holds %d users (Top-2: %d), want about %d in several groups", a.Users, a.Groups[core.Top2].Users, users)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				eng.Analysis()
+			}
+		})
+	}
+}
+
+// placeResolver maps a point to the place its integer latitude indexes.
+type placeResolver []core.Place
+
+func (r placeResolver) Reverse(_ context.Context, p geo.Point) (geocode.Location, error) {
+	pl := r[int(p.Lat)%len(r)]
+	return geocode.Location{State: pl.State, County: pl.County}, nil
 }

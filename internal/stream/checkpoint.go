@@ -109,6 +109,7 @@ func decodeUserState(b []byte, prio func() uint64) (*userState, error) {
 		st.total += pc.N
 	}
 	if m := st.nodes[st.profile]; m != nil {
+		st.match = m
 		st.rank = osRank(st.root, m.count, m.key)
 	}
 	st.group = core.GroupOfRank(st.rank)
@@ -280,10 +281,7 @@ func (e *Engine) loadCheckpoint() error {
 			continue
 		}
 		sh.users[twitter.UserID(id)] = st
-		if st.total > 0 {
-			sh.usersPerGroup[st.group]++
-			sh.tweetsPerGroup[st.group] += st.total
-		}
+		sh.retally(core.UserTerm{}, st.term())
 	}
 	for _, key := range store.KeysWithPrefix(ckptRejectPrefix) {
 		idStr := strings.TrimPrefix(key, ckptRejectPrefix)

@@ -138,3 +138,19 @@ func TestStageSecondsOncePerRun(t *testing.T) {
 		t.Errorf("stream_checkpoint_seconds: %d observations (ok=%v), want 1", m.Count, ok)
 	}
 }
+
+// TestAnalysisObservesSnapshotStage checks that the summary cut /v1/groups
+// reads is timed once per call into the stream_snapshot stage, the stage
+// the query path is measured by.
+func TestAnalysisObservesSnapshotStage(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng, _ := plainEngine(t, func(c *Config) { c.Metrics = reg })
+	eng.Ingest(geoTweet(1, 10, 1))
+	eng.Drain()
+	for i := 0; i < 3; i++ {
+		eng.Analysis()
+	}
+	if m, ok := reg.Snapshot().Get(obs.StageHistogram, "stage", "stream_snapshot"); !ok || m.Count != 3 {
+		t.Fatalf("%s{stage=\"stream_snapshot\"}: %d observations (ok=%v), want 3", obs.StageHistogram, m.Count, ok)
+	}
+}

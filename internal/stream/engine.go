@@ -10,9 +10,10 @@
 // internal/obs, and answers live queries (per-group statistics, per-user
 // group/rank/reliability-weight) over a small HTTP API.
 //
-// Correctness anchor: after draining any tweet sequence, Snapshot() is
-// byte-for-byte equal to batch core.Analyze over the same tweets — the
-// differential tests enforce this, including across checkpoint/resume.
+// Correctness anchor: after draining any tweet sequence, Snapshot() and the
+// per-shard summaries Analysis() merges are byte-for-byte equal to batch
+// core.Analyze over the same tweets — the differential tests enforce this,
+// including across checkpoint/resume and shard handoff.
 package stream
 
 import (
@@ -122,18 +123,27 @@ type shard struct {
 
 	// Funnel counters, guarded by mu (drops is atomic: Ingest writes it
 	// from outside the worker).
-	processed   int64
-	nonGeo      int64
-	geocodeFail int64
-	profileErr  int64
-	resolveErr  int64
-	duplicates  int64
-	drops       atomic.Int64
+	processed      int64
+	nonGeo         int64
+	geocodeFail    int64
+	profileErr     int64
+	resolveErr     int64
+	duplicates     int64
+	rejectedTweets int64
+	drops          atomic.Int64
 
-	// Incremental per-group tallies: cheap integer views the HTTP layer and
-	// gauges read without materialising a full snapshot.
-	usersPerGroup  [core.NumGroups]int
-	tweetsPerGroup [core.NumGroups]int
+	// sum is the §IV fold over the shard's grouped users, kept current per
+	// tweet: queries, GroupCounts and the group gauges read it instead of
+	// materialising the users.
+	sum core.Summary
+}
+
+// retally moves one user's term in the shard summary: old comes out (the
+// zero term when the user had none), cur goes in (the zero term when the
+// user is gone). Callers hold sh.mu.
+func (sh *shard) retally(old, cur core.UserTerm) {
+	sh.sum.Remove(old)
+	sh.sum.Add(cur)
 }
 
 // Engine is the live ingestion engine. All methods are safe for concurrent
@@ -259,13 +269,8 @@ func (e *Engine) registerGauges() {
 	for _, g := range core.Groups() {
 		g := g
 		e.reg.GaugeFunc("stream_group_users", func() float64 {
-			n := 0
-			for _, sh := range e.shards {
-				sh.mu.Lock()
-				n += sh.usersPerGroup[g]
-				sh.mu.Unlock()
-			}
-			return float64(n)
+			users, _ := e.GroupCounts()
+			return float64(users[g])
 		}, "group", g.String())
 	}
 	for _, sh := range e.shards {
@@ -443,6 +448,7 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		return
 	}
 	if sh.rejected[t.UserID] {
+		sh.rejectedTweets++
 		return
 	}
 	st := sh.users[t.UserID]
@@ -469,6 +475,7 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		}
 		if !ok {
 			sh.rejected[t.UserID] = true
+			sh.rejectedTweets++
 			sh.dirty[t.UserID] = true
 			e.reg.Counter("stream_profile_rejected_total").Inc()
 			sp.Annotate("outcome", "rejected")
@@ -496,21 +503,10 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		}
 		return
 	}
-	oldTotal, oldGroup := st.total, st.group
+	old := st.term()
 	st.observe(core.Place{State: loc.State, County: loc.County}, sh.rnd.next)
 	st.lastID = int64(t.ID)
-	switch {
-	case oldTotal == 0:
-		sh.usersPerGroup[st.group]++
-		sh.tweetsPerGroup[st.group] += st.total
-	case oldGroup != st.group:
-		sh.usersPerGroup[oldGroup]--
-		sh.usersPerGroup[st.group]++
-		sh.tweetsPerGroup[oldGroup] -= oldTotal
-		sh.tweetsPerGroup[st.group] += st.total
-	default:
-		sh.tweetsPerGroup[st.group]++
-	}
+	sh.retally(old, st.term())
 	sh.processed++
 	sh.dirty[t.UserID] = true
 	e.reg.Counter("stream_processed_total").Inc()
@@ -680,7 +676,13 @@ func (s *ClientSource) Stream(ctx context.Context, fn func(*twitter.Tweet) bool)
 	return s.Client.Stream(ctx, s.Track, fn)
 }
 
-// Stats is the engine's funnel and connection accounting.
+// Stats is the engine's funnel and connection accounting. Once drained,
+// every tweet ingested since New lands in exactly one of Processed, NonGeo,
+// GeocodeFailures, ResolveErrors, ProfileErrors, Duplicates and
+// RejectedTweets (tweets of users profile refinement rejected, the
+// rejecting tweet included); the first six also carry totals restored from
+// a checkpoint. RejectedTweets, like Ingested, starts from zero at New: the
+// checkpoint carries no such counter.
 type Stats struct {
 	Shards          int     `json:"shards"`
 	Users           int     `json:"users"`
@@ -692,6 +694,7 @@ type Stats struct {
 	ProfileErrors   int64   `json:"profile_errors"`
 	ResolveErrors   int64   `json:"resolve_errors"`
 	Duplicates      int64   `json:"duplicates"`
+	RejectedTweets  int64   `json:"rejected_tweets"`
 	Dropped         int64   `json:"dropped"`
 	PerShardDropped []int64 `json:"per_shard_dropped"`
 	Reconnects      int64   `json:"reconnects"`
@@ -740,6 +743,7 @@ func (e *Engine) Stats() Stats {
 		s.ProfileErrors += sh.profileErr
 		s.ResolveErrors += sh.resolveErr
 		s.Duplicates += sh.duplicates
+		s.RejectedTweets += sh.rejectedTweets
 		sh.mu.Unlock()
 		d := sh.drops.Load()
 		s.PerShardDropped[i] = d

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"stir/internal/core"
 	"stir/internal/storage"
 	"stir/internal/twitter"
 )
@@ -83,7 +84,10 @@ func (e *Engine) ImportUsers(h Handoff) error {
 			return fmt.Errorf("stream: import: %w", err)
 		}
 		sh := e.shardOf(twitter.UserID(peek.ID))
+		// The shard worker draws from the same priority stream under mu.
+		sh.mu.Lock()
 		st, err := decodeUserState(raw, sh.rnd.next)
+		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("stream: import: %w", err)
 		}
@@ -91,15 +95,12 @@ func (e *Engine) ImportUsers(h Handoff) error {
 	}
 	for _, d := range states {
 		d.sh.mu.Lock()
-		if old := d.sh.users[d.id]; old != nil && old.total > 0 {
-			d.sh.usersPerGroup[old.group]--
-			d.sh.tweetsPerGroup[old.group] -= old.total
+		var old core.UserTerm
+		if prev := d.sh.users[d.id]; prev != nil {
+			old = prev.term()
 		}
 		d.sh.users[d.id] = d.st
-		if d.st.total > 0 {
-			d.sh.usersPerGroup[d.st.group]++
-			d.sh.tweetsPerGroup[d.st.group] += d.st.total
-		}
+		d.sh.retally(old, d.st.term())
 		d.sh.dirty[d.id] = true
 		d.sh.mu.Unlock()
 	}
@@ -126,10 +127,7 @@ func (e *Engine) DropUsers(drop func(twitter.UserID) bool) (users, rejected int)
 			if !drop(id) {
 				continue
 			}
-			if st.total > 0 {
-				sh.usersPerGroup[st.group]--
-				sh.tweetsPerGroup[st.group] -= st.total
-			}
+			sh.retally(st.term(), core.UserTerm{})
 			delete(sh.users, id)
 			sh.dirty[id] = true
 			users++

@@ -6,14 +6,13 @@ import (
 	"strconv"
 	"strings"
 
-	"stir/internal/core"
 	"stir/internal/obs"
 	"stir/internal/twitter"
 )
 
 // Query API over the live engine:
 //
-//	GET /v1/groups          per-group §IV statistics from a fresh snapshot
+//	GET /v1/groups          per-group §IV statistics from the shard summaries
 //	GET /v1/users/{id}      one user's group, rank and reliability weight
 //	GET /v1/stats           ingestion counters (processed, dropped, reconnects…)
 //
@@ -21,14 +20,6 @@ import (
 
 type httpError struct {
 	Error string `json:"error"`
-}
-
-type groupsResponse struct {
-	Users               int             `json:"users"`
-	Tweets              int             `json:"tweets"`
-	Groups              []core.GroupRow `json:"groups"`
-	OverallAvgDistricts float64         `json:"overall_avg_districts"`
-	OverallMatchShare   float64         `json:"overall_match_share"`
 }
 
 // Handler returns the engine's query API, instrumented into the engine's
@@ -59,14 +50,7 @@ func (e *Engine) handleGroups(w http.ResponseWriter, r *http.Request) {
 		jsonReply(w, http.StatusMethodNotAllowed, httpError{Error: "GET only"})
 		return
 	}
-	a := e.Snapshot().Analysis
-	jsonReply(w, http.StatusOK, groupsResponse{
-		Users:               a.Users,
-		Tweets:              a.Tweets,
-		Groups:              a.Rows(),
-		OverallAvgDistricts: a.OverallAvgDistricts,
-		OverallMatchShare:   a.OverallMatchShare,
-	})
+	jsonReply(w, http.StatusOK, e.Analysis().Result())
 }
 
 func (e *Engine) handleUser(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"stir/internal/core"
 )
 
 func TestHTTPQueryAPI(t *testing.T) {
@@ -40,7 +42,7 @@ func TestHTTPQueryAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("groups status %d: %s", resp.StatusCode, body)
 	}
-	var groups groupsResponse
+	var groups core.GroupsResult
 	if err := json.Unmarshal(body, &groups); err != nil {
 		t.Fatalf("groups decode: %v in %s", err, body)
 	}

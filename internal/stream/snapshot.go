@@ -39,8 +39,26 @@ func (e *Engine) Groupings() []core.UserGrouping {
 	return out
 }
 
+// Analysis is the live §IV analysis: the shard summaries merged, one shard
+// locked at a time, in O(shards × groups) whatever the user count. It equals
+// core.Analyze(e.Groupings()) for the same cut; Drain first for an exact
+// one.
+func (e *Engine) Analysis() core.Analysis {
+	start := time.Now()
+	var sum core.Summary
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		sum.Merge(&sh.sum)
+		sh.mu.Unlock()
+	}
+	a := sum.Analysis()
+	e.mSnapshotStage.ObserveDuration(time.Since(start))
+	return a
+}
+
 // Snapshot materialises the current per-user groupings and their §IV
-// analysis.
+// analysis: the full state in the batch pipeline's shape, for export and
+// differential checks. Queries read Analysis instead.
 func (e *Engine) Snapshot() Snapshot {
 	start := time.Now()
 	gs := e.Groupings()
@@ -85,16 +103,17 @@ func (e *Engine) User(id twitter.UserID) (UserView, bool) {
 	}, true
 }
 
-// GroupCounts is the cheap incremental per-group view (no snapshot build):
-// user and tweet tallies maintained in O(1) per tweet.
+// GroupCounts is the cheap per-group view (no snapshot build): the user and
+// tweet tallies of the shard summaries.
 func (e *Engine) GroupCounts() (users, tweets [core.NumGroups]int) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		for g := 0; g < core.NumGroups; g++ {
-			users[g] += sh.usersPerGroup[g]
-			tweets[g] += sh.tweetsPerGroup[g]
-		}
+		u, t := sh.sum.Counts()
 		sh.mu.Unlock()
+		for g := range users {
+			users[g] += u[g]
+			tweets[g] += t[g]
+		}
 	}
 	return users, tweets
 }

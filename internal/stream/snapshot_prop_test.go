@@ -2,11 +2,17 @@ package stream
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 
+	"stir/internal/core"
 	"stir/internal/obs"
 	"stir/internal/storage"
 	"stir/internal/storage/vfs"
@@ -128,6 +134,142 @@ func TestSnapshotRestorePropertyRandomWorkloads(t *testing.T) {
 				if !ok || view.Rank != g.MatchedRank || view.Group != g.Group.String() {
 					t.Fatalf("user %d rank/group drift after restore: %+v vs %+v", g.UserID, view, g)
 				}
+			}
+		})
+	}
+}
+
+// Property: the summary every /v1/groups answer reads stays the fold of the
+// users the engine holds, whatever moved them in or out. Two engines share
+// one dataset, each on its own checkpoint store; a random interleaving of
+// ingest, handoffs (ExportUsers → ImportUsers → DropUsers), checkpoints and
+// reloads from the store runs over them. After Drain each engine's
+// /v1/groups body is byte-identical to the JSON of
+// core.Analyze(e.Groupings()), GroupCounts equals the summary's integers,
+// and the union of both engines is the batch analysis.
+func TestAnalysisMatchesGroupingsUnderHandoffAndRestore(t *testing.T) {
+	for round := int64(0); round < 4; round++ {
+		seed := 20261017 + round
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(seed))
+			ds := testDataset(t, 150+rnd.Intn(150), seed)
+			res, err := ds.Analyze(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tweets := allTweets(ds)
+			rnd.Shuffle(len(tweets), func(i, j int) { tweets[i], tweets[j] = tweets[j], tweets[i] })
+
+			type node struct {
+				fs    *vfs.Mem
+				store *storage.Store
+				eng   *Engine
+			}
+			open := func(n *node) {
+				store, err := storage.Open("ckpt", storage.Options{FS: n.fs, Metrics: obs.Discard})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.store = store
+				n.eng = testEngine(t, ds, func(c *Config) {
+					c.Store = store
+					c.Shards = 1 + rnd.Intn(4)
+				})
+			}
+			nodes := [2]*node{{fs: vfs.NewMem(seed)}, {fs: vfs.NewMem(seed + 1)}}
+			for _, n := range nodes {
+				open(n)
+			}
+			defer func() {
+				for _, n := range nodes {
+					n.eng.Close()
+					n.store.Close()
+				}
+			}()
+			// owner[u] is the node that holds user u; a user starts on the
+			// node its ID parity picks and moves with every handoff.
+			owner := map[twitter.UserID]int{}
+			ownerOf := func(id twitter.UserID) int {
+				if o, ok := owner[id]; ok {
+					return o
+				}
+				return int(id % 2)
+			}
+
+			for i := 0; i < len(tweets); {
+				switch op := rnd.Intn(10); {
+				case op < 6:
+					end := min(len(tweets), i+1+rnd.Intn(300))
+					for _, tw := range tweets[i:end] {
+						nodes[ownerOf(tw.UserID)].eng.Ingest(tw)
+					}
+					i = end
+				case op < 8:
+					// Hand a slice of the user space from one node to the other.
+					from := rnd.Intn(2)
+					mod, rem := twitter.UserID(2+rnd.Intn(4)), twitter.UserID(rnd.Intn(2))
+					sel := func(id twitter.UserID) bool { return ownerOf(id) == from && id%mod == rem }
+					h, err := nodes[from].eng.ExportUsers(sel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := nodes[1-from].eng.ImportUsers(h); err != nil {
+						t.Fatal(err)
+					}
+					moved := map[twitter.UserID]bool{}
+					for _, tw := range tweets {
+						if sel(tw.UserID) {
+							moved[tw.UserID] = true
+						}
+					}
+					nodes[from].eng.DropUsers(sel)
+					for id := range moved {
+						owner[id] = 1 - from
+					}
+				case op == 8:
+					if err := nodes[rnd.Intn(2)].eng.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					// Reload: checkpoint, stop, rebuild from the store.
+					n := nodes[rnd.Intn(2)]
+					if err := n.eng.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					n.eng.Close()
+					n.store.Close()
+					open(n)
+				}
+			}
+
+			var all []core.UserGrouping
+			for k, n := range nodes {
+				n.eng.Drain()
+				gs := n.eng.Groupings()
+				all = append(all, gs...)
+				want := core.Analyze(gs)
+				var buf bytes.Buffer
+				if err := json.NewEncoder(&buf).Encode(want.Result()); err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				n.eng.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/groups", nil))
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), buf.Bytes()) {
+					t.Fatalf("node %d /v1/groups (status %d):\n got %s\nwant %s", k, rec.Code, rec.Body.Bytes(), buf.Bytes())
+				}
+				users, tws := n.eng.GroupCounts()
+				a := n.eng.Analysis()
+				for g := range users {
+					if users[g] != a.Groups[g].Users || tws[g] != a.Groups[g].Tweets ||
+						users[g] != want.Groups[g].Users || tws[g] != want.Groups[g].Tweets {
+						t.Fatalf("node %d group %v: GroupCounts %d/%d, summary %d/%d, groupings %d/%d", k, core.Group(g),
+							users[g], tws[g], a.Groups[g].Users, a.Groups[g].Tweets, want.Groups[g].Users, want.Groups[g].Tweets)
+					}
+				}
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i].UserID < all[j].UserID })
+			if got, want := mustJSON(t, core.Analyze(all)), mustJSON(t, res.Analysis); !bytes.Equal(got, want) {
+				t.Fatalf("union of both nodes diverges from batch:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

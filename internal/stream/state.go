@@ -167,8 +167,9 @@ type userState struct {
 	profile core.Place
 	nodes   map[core.Place]*osNode
 	root    *osNode
-	total   int // successfully geocoded tweets, the batch TotalTweets
-	rank    int // 1-based matched rank, 0 while no tweet matched the profile
+	match   *osNode // nodes[profile], nil until a tweet matches the profile
+	total   int     // successfully geocoded tweets, the batch TotalTweets
+	rank    int     // 1-based matched rank, 0 while no tweet matched the profile
 	group   core.Group
 	lastID  int64 // highest applied tweet ID, for monotonic dedup on replay
 }
@@ -192,33 +193,37 @@ func (u *userState) observe(p core.Place, prio func() uint64) {
 		n = &osNode{place: p, key: p.Key(), count: 1, prio: prio()}
 		u.nodes[p] = n
 		u.root = osInsert(u.root, n)
+		if p == u.profile {
+			u.match = n
+		}
 	} else {
 		u.root = osRemove(u.root, n.count, n.key)
 		n.count++
 		n.left, n.right = nil, nil
 		u.root = osInsert(u.root, n)
 	}
-	if m := u.nodes[u.profile]; m != nil {
-		u.rank = osRank(u.root, m.count, m.key)
+	if u.match != nil {
+		u.rank = osRank(u.root, u.match.count, u.match.key)
 	}
 	u.group = core.GroupOfRank(u.rank)
 }
 
 // matchedTweets is the matched string's multiplicity (0 when none).
 func (u *userState) matchedTweets() int {
-	if m := u.nodes[u.profile]; m != nil {
-		return m.count
+	if u.match != nil {
+		return u.match.count
 	}
 	return 0
 }
 
-// matchShare mirrors core.UserGrouping.MatchShare.
-func (u *userState) matchShare() float64 {
-	if u.total == 0 {
-		return 0
-	}
-	return float64(u.matchedTweets()) / float64(u.total)
+// term is the user's contribution to the §IV analysis, the one
+// core.UserGrouping.Term gives for the same user.
+func (u *userState) term() core.UserTerm {
+	return core.UserTerm{Group: u.group, Tweets: u.total, Districts: len(u.nodes), Matched: u.matchedTweets()}
 }
+
+// matchShare is the user's reliability weight, core.UserTerm.Share.
+func (u *userState) matchShare() float64 { return u.term().Share() }
 
 // grouping materialises the batch-equivalent core.UserGrouping: the in-order
 // treap walk yields exactly the merged-and-ordered Table II list.

@@ -34,14 +34,17 @@ race:
 
 verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
 
-# Short coverage-guided fuzzing of the decoders that read wire bytes, of
-# the profile-location classifier against its reference and of the §IV
-# summary against Analyze and a math/big sum, one target per line (go test -fuzz takes one target at a time). Seeds live
-# under each package's testdata/fuzz; a crasher is written there too.
+# Short coverage-guided fuzzing of the decoders that read wire bytes
+# (geocode XML, the §IV summary's JSON), of the profile-location classifier
+# against its reference and of the §IV summary against Analyze and a
+# math/big sum, one target per line (go test -fuzz takes one target at a
+# time, so each pattern is anchored). Seeds live under each package's
+# testdata/fuzz; a crasher is written there too.
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzUnmarshalResultSet -fuzztime 10s ./internal/geocode/
-	$(GO) test -run xxx -fuzz FuzzClassify -fuzztime 10s ./internal/textnorm/
-	$(GO) test -run xxx -fuzz FuzzSummary -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzUnmarshalResultSet$$' -fuzztime 10s ./internal/geocode/
+	$(GO) test -run xxx -fuzz '^FuzzClassify$$' -fuzztime 10s ./internal/textnorm/
+	$(GO) test -run xxx -fuzz '^FuzzSummary$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzSummaryJSON$$' -fuzztime 10s ./internal/core/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race
@@ -108,8 +111,8 @@ bench-obs:
 bench-stream:
 	$(GO) test -run xxx -bench BenchmarkStreamIngest -benchtime 2s ./internal/stream/
 
-# Routed-cluster micro-benchmarks: ingest throughput through the router's journal+forward path and scatter-gather
-# latency, each at 1, 2 and 4 workers.
+# Routed-cluster micro-benchmarks: ingest throughput through the router's journal+forward path and /v1/groups
+# scatter-gather latency, each at 1, 2 and 4 workers (the scatter also at 2k and 20k users).
 bench-cluster:
 	$(GO) test -run xxx -bench BenchmarkClusterIngest -benchtime 1s ./internal/cluster/
 	$(GO) test -run xxx -bench BenchmarkClusterScatterGroups -benchtime 300x ./internal/cluster/

@@ -71,8 +71,8 @@ func benchCluster(b *testing.B, n int) (*Router, func()) {
 	}
 }
 
-func benchTweets(n int) []*twitter.Tweet {
-	const users = 2048
+// benchTweets makes n geo-tweets spread round-robin over users users.
+func benchTweets(n, users int) []*twitter.Tweet {
 	out := make([]*twitter.Tweet, n)
 	for i := range out {
 		out[i] = &twitter.Tweet{
@@ -92,7 +92,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			r, stop := benchCluster(b, workers)
 			defer stop()
-			tweets := benchTweets(4096)
+			tweets := benchTweets(4096, 2048)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -115,32 +115,35 @@ func BenchmarkClusterIngest(b *testing.B) {
 }
 
 // BenchmarkClusterScatterGroups measures the /v1/groups scatter-gather
-// round-trip at each worker count, reporting p50 and p99 latency over the
-// sampled iterations.
+// round-trip at each worker count and at 2k and 20k users (four tweets
+// each), reporting p50 and p99 latency over the iterations. The router
+// merges per-partition summaries, so the cost must stay flat in the user
+// count.
 func BenchmarkClusterScatterGroups(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r, stop := benchCluster(b, workers)
-			defer stop()
-			tweets := benchTweets(8192)
-			if rep := r.IngestBatch(context.Background(), tweets); rep.Forwarded != len(tweets) {
-				b.Fatalf("seed ingest dropped: %+v", rep)
-			}
-			ctx := context.Background()
-			lat := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				res, status := r.Groups(ctx)
-				lat = append(lat, time.Since(start))
-				if status != 200 || res.Partial {
-					b.Fatalf("degraded scatter in a healthy bench: status=%d %+v", status, res)
+	for _, users := range []int{2_000, 20_000} {
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("users=%d/workers=%d", users, workers), func(b *testing.B) {
+				r, stop := benchCluster(b, workers)
+				defer stop()
+				tweets := benchTweets(4*users, users)
+				if rep := r.IngestBatch(context.Background(), tweets); rep.Forwarded != len(tweets) {
+					b.Fatalf("seed ingest dropped: %+v", rep)
 				}
-			}
-			b.StopTimer()
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-us")
-			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
-		})
+				ctx := context.Background()
+				var lat []time.Duration
+				b.ReportAllocs()
+				for b.Loop() {
+					start := time.Now()
+					res, status := r.Groups(ctx)
+					lat = append(lat, time.Since(start))
+					if status != 200 || res.Partial || res.Users != users {
+						b.Fatalf("degraded scatter in a healthy bench: status=%d %+v", status, res)
+					}
+				}
+				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+				b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-us")
+				b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
+			})
+		}
 	}
 }

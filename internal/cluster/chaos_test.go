@@ -247,6 +247,13 @@ func TestClusterReplicatedIngest(t *testing.T) {
 		}
 	}
 	assertClusterMatchesBatch(t, r, res)
+	// The router's /v1/groups, merged from one owner's summary per
+	// partition, is byte-identical to the batch analysis.
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	if got, want := getBody(t, srv.URL+"/v1/groups", http.StatusOK), routerGroupsBody(t, res.Analysis, 3, nil); string(got) != string(want) {
+		t.Fatalf("replicated /v1/groups:\n got %s\nwant %s", got, want)
+	}
 
 	// Kill one worker: with two replicas per partition, the merged answer
 	// over the survivors is still exact.
@@ -259,5 +266,9 @@ func TestClusterReplicatedIngest(t *testing.T) {
 	if got, want := mustJSON(t, gs), mustJSON(t, res.Groupings); string(got) != string(want) {
 		t.Fatalf("replicated cluster lost users with one replica down: %d vs %d",
 			len(gs), len(res.Groupings))
+	}
+	want := routerGroupsBody(t, res.Analysis, 3, errs)
+	if got := getBody(t, srv.URL+"/v1/groups", http.StatusOK); string(got) != string(want) {
+		t.Fatalf("/v1/groups with one replica down:\n got %s\nwant %s", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -65,6 +66,13 @@ type testWorker struct {
 // restarted FS resumes the previous checkpoint).
 func startWorker(t testing.TB, ds *stir.Dataset, name string, flt *vfs.Fault) *testWorker {
 	t.Helper()
+	return startWorkerWrapped(t, ds, name, flt, nil)
+}
+
+// startWorkerWrapped is startWorker with the worker's HTTP handler passed
+// through wrap (when non-nil) before the listener serves it.
+func startWorkerWrapped(t testing.TB, ds *stir.Dataset, name string, flt *vfs.Fault, wrap func(http.Handler) http.Handler) *testWorker {
+	t.Helper()
 	var store *storage.Store
 	if flt != nil {
 		var err error
@@ -85,8 +93,11 @@ func startWorker(t testing.TB, ds *stir.Dataset, name string, flt *vfs.Fault) *t
 	if err != nil {
 		t.Fatalf("worker %s: engine: %v", name, err)
 	}
-	w := NewWorker(name, eng, obs.NewRegistry())
-	return &testWorker{name: name, flt: flt, store: store, eng: eng, srv: httptest.NewServer(w.Handler())}
+	h := NewWorker(name, eng, obs.NewRegistry()).Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	return &testWorker{name: name, flt: flt, store: store, eng: eng, srv: httptest.NewServer(h)}
 }
 
 func (w *testWorker) stop() {
@@ -206,6 +217,39 @@ func TestClusterScatterGatherMatchesBatch(t *testing.T) {
 func jsonNum(v int64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// getBody GETs url and returns the body, failing unless the status is
+// wantStatus.
+func getBody(t testing.TB, url string, wantStatus int) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("GET %s: status %d, want %d: %s", url, resp.StatusCode, wantStatus, b)
+	}
+	return b
+}
+
+// routerGroupsBody is the /v1/groups body a router with workers members, of
+// which those in errs did not answer, serves for analysis a.
+func routerGroupsBody(t testing.TB, a core.Analysis, workers int, errs []WorkerError) []byte {
+	t.Helper()
+	res := a.Result()
+	res.Workers, res.WorkersOK = workers, workers-len(errs)
+	res.Partial, res.Errors = len(errs) > 0, errs
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func getJSON(t testing.TB, url string, wantStatus int, out any) {

@@ -146,6 +146,10 @@ func TestStaleRouterFenced(t *testing.T) {
 		!strings.Contains(errs[0].Error, "Precondition Failed") {
 		t.Fatalf("zombie scatter should be fenced: %+v", errs)
 	}
+	if res, _ := routerA.Groups(context.Background()); len(res.Errors) != 1 ||
+		!strings.Contains(res.Errors[0].Error, "Precondition Failed") {
+		t.Fatalf("zombie /v1/groups should be fenced: %+v", res)
+	}
 
 	// Zombie A wakes up with a write that exists nowhere in the dataset.
 	fake := *tweets[0]

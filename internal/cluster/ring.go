@@ -13,6 +13,7 @@ package cluster
 import (
 	"sort"
 
+	"stir/internal/stream"
 	"stir/internal/twitter"
 )
 
@@ -21,10 +22,11 @@ import (
 // workers keeps handoff increments small and the spread even.
 const DefaultPartitions = 64
 
-// PartitionOf routes a user to a partition. The mixer matches the stream
-// engine's shard hash family, so sequential synthetic IDs spread evenly.
+// PartitionOf routes a user to a partition. It is the stream engine's own
+// partition hash, so the partition summaries a worker keeps bucket users
+// exactly as the router routes them.
 func PartitionOf(id twitter.UserID, partitions int) int {
-	return int(splitmix64(uint64(id)) % uint64(partitions))
+	return stream.PartitionOf(id, partitions)
 }
 
 // Ring assigns partitions to workers by rendezvous (highest-random-weight)
@@ -147,8 +149,7 @@ func (r *Ring) PartsOwnedBy(name string, replicas int) []int {
 	return parts
 }
 
-// splitmix64 matches the stream engine's mixer, so router-side partition
-// math and worker-side shard math draw from the same hash family.
+// splitmix64 is the SplitMix64 finaliser, the ring's rendezvous mixer.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e9b5

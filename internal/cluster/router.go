@@ -1102,14 +1102,10 @@ func joinParts(parts []int) string {
 }
 
 // CheckpointAll asks every live worker for a durable checkpoint and trims
-// the journals to the returned cursors.
+// the journals to the returned cursors. Each worker's HandoffTimeout covers
+// its wait for a fan-out slot, as in gather.
 func (r *Router) CheckpointAll(ctx context.Context) []WorkerError {
-	r.mu.RLock()
-	workers := make([]*workerRef, 0, len(r.workers))
-	for _, w := range r.workers {
-		workers = append(workers, w)
-	}
-	r.mu.RUnlock()
+	_, workers := r.membership()
 	var (
 		wg   sync.WaitGroup
 		emu  sync.Mutex
@@ -1122,14 +1118,17 @@ func (r *Router) CheckpointAll(ctx context.Context) []WorkerError {
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
 			var ack struct {
 				DurableSeq int64 `json:"durable_seq"`
 			}
 			cctx, cancel := context.WithTimeout(ctx, r.opts.HandoffTimeout)
 			defer cancel()
-			if err := r.doJSON(cctx, http.MethodPost, w.baseURL()+"/cluster/v1/checkpoint", nil, &ack); err != nil {
+			err := r.acquire(cctx)
+			if err == nil {
+				err = r.doJSON(cctx, http.MethodPost, w.baseURL()+"/cluster/v1/checkpoint", nil, &ack)
+				<-r.sem
+			}
+			if err != nil {
 				emu.Lock()
 				errs = append(errs, WorkerError{Worker: w.name, Error: err.Error()})
 				emu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -55,17 +56,37 @@ type StatsResult struct {
 	RouterSeq int64 `json:"router_seq"`
 }
 
-// gather fans one request out to every worker (up or not — a down worker
-// yields an error entry without a network call) under the fan-out semaphore
-// and the per-worker scatter timeout.
-func gather[T any](r *Router, ctx context.Context, path string) (map[string]T, []WorkerError) {
+// membership snapshots the ring and the workers, sorted by name, under one
+// read lock, so a query reads one membership.
+func (r *Router) membership() (*Ring, []*workerRef) {
 	r.mu.RLock()
+	ring := r.ring
 	workers := make([]*workerRef, 0, len(r.workers))
 	for _, w := range r.workers {
 		workers = append(workers, w)
 	}
 	r.mu.RUnlock()
 	sort.Slice(workers, func(i, j int) bool { return workers[i].name < workers[j].name })
+	return ring, workers
+}
+
+// acquire takes a fan-out slot, or gives up when ctx ends first. The caller
+// releases a slot it got with <-r.sem.
+func (r *Router) acquire(ctx context.Context) error {
+	select {
+	case r.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: waiting for a fan-out slot: %w", ctx.Err())
+	}
+}
+
+// gather fans one request out to workers (up or not — a down worker yields
+// an error entry without a network call) under the fan-out semaphore. Each
+// worker's ScatterTimeout starts before it waits for a slot, so a query
+// never outlasts it behind calls stuck on some other worker; a wait that
+// times out is that worker's error.
+func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path string) (map[string]T, []WorkerError) {
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -84,12 +105,15 @@ func gather[T any](r *Router, ctx context.Context, path string) (map[string]T, [
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
 			cctx, cancel := context.WithTimeout(ctx, r.opts.ScatterTimeout)
 			defer cancel()
 			var v T
-			if err := r.doJSON(cctx, http.MethodGet, w.baseURL()+path, nil, &v); err != nil {
+			err := r.acquire(cctx)
+			if err == nil {
+				err = r.doJSON(cctx, http.MethodGet, w.baseURL()+path, nil, &v)
+				<-r.sem
+			}
+			if err != nil {
 				mu.Lock()
 				errs = append(errs, WorkerError{Worker: w.name, Error: err.Error()})
 				mu.Unlock()
@@ -106,20 +130,18 @@ func gather[T any](r *Router, ctx context.Context, path string) (map[string]T, [
 	return out, errs
 }
 
-// Groupings gathers and merges every worker's per-user groupings. With
-// replicas > 1 a user appears on several workers; the copy with the most
-// tweets wins (on a drained cluster the replicas are identical, so the merge
-// is exact). The slice is sorted by user ID — the batch pipeline's order.
+// Groupings gathers and merges every worker's per-user groupings: the full
+// cluster state in the batch pipeline's shape, for export and differential
+// checks (queries read Groups). With replicas > 1 a user appears on several
+// workers; the copy with the most tweets wins (on a drained cluster the
+// replicas are identical, so the merge is exact). The slice is sorted by
+// user ID — the batch pipeline's order.
 func (r *Router) Groupings(ctx context.Context) ([]core.UserGrouping, []WorkerError) {
-	perWorker, errs := gather[[]core.UserGrouping](r, ctx, "/cluster/v1/groupings")
-	names := make([]string, 0, len(perWorker))
-	for n := range perWorker {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	_, workers := r.membership()
+	perWorker, errs := gather[[]core.UserGrouping](r, ctx, workers, "/cluster/v1/groupings")
 	byUser := make(map[int64]core.UserGrouping)
-	for _, n := range names {
-		for _, g := range perWorker[n] {
+	for _, w := range workers {
+		for _, g := range perWorker[w.name] {
 			if have, ok := byUser[g.UserID]; !ok || g.TotalTweets > have.TotalTweets {
 				byUser[g.UserID] = g
 			}
@@ -133,30 +155,63 @@ func (r *Router) Groupings(ctx context.Context) ([]core.UserGrouping, []WorkerEr
 	return out, errs
 }
 
-// Groups computes the cluster-wide §IV analysis from the merged groupings.
+// Groups answers /v1/groups from the workers' partition summaries
+// (/cluster/v1/summaries) in O(partitions × groups), whatever the user
+// count. Each partition contributes one summary: that of the answering
+// member of its owner set (Ring.Owners, primary first) holding the most
+// tweets, the earlier owner on a tie. On a drained cluster a partition's
+// replicas hold the same users, so the answer is exact. A copy of a
+// partition on a worker outside its owner set, as a failed handoff drop
+// leaves behind, is never read.
 func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
-	gs, errs := r.Groupings(ctx)
-	r.mu.RLock()
-	total := len(r.workers)
-	r.mu.RUnlock()
-	res := core.Analyze(gs).Result()
-	res.Workers = total
-	res.WorkersOK = total - len(errs)
+	ring, workers := r.membership()
+	perWorker, errs := gather[map[int]*core.Summary](r, ctx, workers,
+		"/cluster/v1/summaries?partitions="+strconv.Itoa(r.opts.Partitions))
+	var sum core.Summary
+	for p := 0; p < r.opts.Partitions; p++ {
+		var best *core.Summary // nil: no owner answered, or none holds a user of p
+		most := -1
+		for _, o := range ring.Owners(p, r.opts.Replicas) {
+			if sums, ok := perWorker[o]; ok {
+				if t := tweetsIn(sums[p]); t > most {
+					best, most = sums[p], t
+				}
+			}
+		}
+		if best != nil {
+			sum.Merge(best)
+		}
+	}
+	res := sum.Analysis().Result()
+	res.Workers = len(workers)
+	res.WorkersOK = len(workers) - len(errs)
 	res.Partial = len(errs) > 0
 	res.Errors = errs
 	status := http.StatusOK
-	if total > 0 && res.WorkersOK == 0 {
+	if res.Workers > 0 && res.WorkersOK == 0 {
 		status = http.StatusServiceUnavailable
 	}
 	return res, status
 }
 
+// tweetsIn is a summary's tweet total; a nil summary holds none.
+func tweetsIn(s *core.Summary) int {
+	if s == nil {
+		return 0
+	}
+	_, tweets := s.Counts()
+	n := 0
+	for _, t := range tweets {
+		n += t
+	}
+	return n
+}
+
 // Stats sums every worker's ingestion counters.
 func (r *Router) Stats(ctx context.Context) (StatsResult, int) {
-	perWorker, errs := gather[stream.Stats](r, ctx, "/v1/stats")
-	r.mu.RLock()
-	total := len(r.workers)
-	r.mu.RUnlock()
+	_, workers := r.membership()
+	perWorker, errs := gather[stream.Stats](r, ctx, workers, "/v1/stats")
+	total := len(workers)
 	res := StatsResult{
 		Workers:   total,
 		WorkersOK: total - len(errs),

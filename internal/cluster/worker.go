@@ -28,7 +28,9 @@ const EpochHeader = "X-Stir-Epoch"
 //	POST /cluster/v1/ingest      apply a forwarded batch (seq-stamped)
 //	POST /cluster/v1/checkpoint  force a durable checkpoint, return its cursor
 //	GET  /cluster/v1/hello       identity + durable cursor (join handshake)
-//	GET  /cluster/v1/groupings   full per-user groupings (scatter-gather merge)
+//	GET  /cluster/v1/summaries   ?partitions=N — §IV summary per non-empty
+//	                             partition (the router's /v1/groups)
+//	GET  /cluster/v1/groupings   full per-user groupings (export, oracles)
 //	GET  /cluster/v1/export      serialise the users of a partition set
 //	POST /cluster/v1/import      install a handoff payload
 //	POST /cluster/v1/drop        release the users of a partition set
@@ -157,6 +159,7 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("/cluster/v1/ingest", w.fenced("ingest", w.handleIngest))
 	mux.HandleFunc("/cluster/v1/checkpoint", w.fenced("checkpoint", w.handleCheckpoint))
 	mux.HandleFunc("/cluster/v1/hello", w.handleHello)
+	mux.HandleFunc("/cluster/v1/summaries", w.fenced("summaries", w.handleSummaries))
 	mux.HandleFunc("/cluster/v1/groupings", w.fenced("groupings", w.handleGroupings))
 	mux.HandleFunc("/cluster/v1/export", w.fenced("export", w.handleExport))
 	mux.HandleFunc("/cluster/v1/import", w.fenced("import", w.handleImport))
@@ -257,6 +260,27 @@ func (w *Worker) handleHello(rw http.ResponseWriter, r *http.Request) {
 		Epoch:      w.epoch.Load(),
 		Degraded:   w.eng.Degraded(),
 	})
+}
+
+// maxSummaryPartitions bounds ?partitions= on the summaries route: every
+// engine shard keeps that many summaries once asked.
+const maxSummaryPartitions = 1 << 16
+
+// handleSummaries serves the engine's partition summaries, keyed by
+// partition. Like groupings it drains first, so a read through the router
+// sees every write the router acknowledged.
+func (w *Worker) handleSummaries(rw http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		jsonReply(rw, http.StatusMethodNotAllowed, httpError{Error: "GET only"})
+		return
+	}
+	n, err := strconv.Atoi(r.URL.Query().Get("partitions"))
+	if err != nil || n <= 0 || n > maxSummaryPartitions {
+		jsonReply(rw, http.StatusBadRequest, httpError{Error: "want ?partitions=N with 0 < N <= " + strconv.Itoa(maxSummaryPartitions)})
+		return
+	}
+	w.eng.Drain()
+	jsonReply(rw, http.StatusOK, w.eng.PartitionSummaries(n))
 }
 
 func (w *Worker) handleGroupings(rw http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,11 @@
 package core
 
-import "math"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // UserTerm is one user's additive contribution to the §IV analysis: the
 // quantities Analyze folds per user, and the only input a Summary needs.
@@ -82,6 +87,16 @@ func (s *Summary) Merge(o *Summary) {
 	}
 }
 
+// Empty reports whether the summary holds no users.
+func (s *Summary) Empty() bool {
+	for _, g := range s.groups {
+		if g.users != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Counts returns the per-group user and tweet tallies.
 func (s *Summary) Counts() (users, tweets [NumGroups]int) {
 	for i, g := range s.groups {
@@ -125,6 +140,65 @@ func (s *Summary) Analysis() Analysis {
 	return a
 }
 
+// groupJSON is one group of a Summary's wire form: the four integer sums
+// and the exact share sum as its canonical expansion (exactSum.canonical).
+// Go writes each float64 as the shortest decimal that reads back to the
+// same bits, so the wire keeps the sums exact.
+type groupJSON struct {
+	Users     int       `json:"users,omitempty"`
+	Tweets    int       `json:"tweets,omitempty"`
+	Districts int       `json:"districts,omitempty"`
+	Matched   int       `json:"matched,omitempty"`
+	Shares    []float64 `json:"shares,omitempty"`
+}
+
+// maxPartial bounds a share-sum partial on the wire. A share sum is at most
+// the group's user count, far below 2^53; the bound keeps every sum the
+// decoder forms finite.
+const maxPartial = 1 << 53
+
+// MarshalJSON writes the summary as an array of NumGroups objects in
+// display order; an empty group is {}. Equal summaries write equal bytes,
+// however their share sums were accumulated.
+func (s Summary) MarshalJSON() ([]byte, error) {
+	var out [NumGroups]groupJSON
+	for i, g := range s.groups {
+		out[i] = groupJSON{Users: g.users, Tweets: g.tweets, Districts: g.districts, Matched: g.matched, Shares: g.shares.canonical()}
+	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON reads the form MarshalJSON writes. It rebuilds each share
+// sum by adding the partials one by one rather than trusting the slice, so
+// the decoded sum is exact and its partials well formed whatever the bytes
+// held. Negative counts, non-finite or out-of-range partials and a wrong
+// group count are errors; s is left alone on error.
+func (s *Summary) UnmarshalJSON(b []byte) error {
+	var in []groupJSON
+	if err := json.Unmarshal(b, &in); err != nil {
+		return fmt.Errorf("core: summary: %w", err)
+	}
+	if len(in) != NumGroups {
+		return fmt.Errorf("core: summary has %d groups, want %d", len(in), NumGroups)
+	}
+	var dec Summary
+	for i, g := range in {
+		if g.Users < 0 || g.Tweets < 0 || g.Districts < 0 || g.Matched < 0 {
+			return fmt.Errorf("core: summary group %v has a negative count", Group(i))
+		}
+		d := &dec.groups[i]
+		d.users, d.tweets, d.districts, d.matched = g.Users, g.Tweets, g.Districts, g.Matched
+		for _, p := range g.Shares {
+			if math.IsNaN(p) || math.Abs(p) > maxPartial {
+				return fmt.Errorf("core: summary group %v has share partial %v", Group(i), p)
+			}
+			d.shares.add(p)
+		}
+	}
+	*s = dec
+	return nil
+}
+
 // exactSum holds a sum of float64s exactly, as non-overlapping partials in
 // increasing magnitude (Shewchuk, "Adaptive Precision Floating-Point
 // Arithmetic", 1997). value rounds the exact sum to the nearest float64,
@@ -155,6 +229,27 @@ func (s *exactSum) add(x float64) {
 	if x != 0 {
 		s.parts = append(s.parts, x)
 	}
+}
+
+// canonical returns the exact sum as a list that depends only on its value,
+// smallest first: the last element is the sum rounded to the nearest
+// float64, and each one before it the remainder below the next, rounded
+// the same way. The partials add leaves depend on the order of the adds;
+// this list does not. Each remainder is at most half an ulp of the element
+// above it, so the list is short (a few elements for any share sum).
+func (s *exactSum) canonical() []float64 {
+	rest := exactSum{parts: append([]float64(nil), s.parts...)}
+	var out []float64
+	for len(rest.parts) > 0 {
+		v := rest.value()
+		if v == 0 {
+			break // add keeps partials non-overlapping, so their sum is never 0
+		}
+		out = append(out, v)
+		rest.add(-v)
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // value returns the exact sum rounded to the nearest float64, ties to even.

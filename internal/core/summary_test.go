@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -280,6 +281,169 @@ func FuzzSummary(f *testing.F) {
 		a, b := split(), split()
 		if ga, gb := a.Analysis(), b.Analysis(); ga != want || gb != want {
 			t.Fatalf("merged splits disagree:\n a %+v\n b %+v\nwant %+v", ga, gb, want)
+		}
+	})
+}
+
+// analysisBits is an Analysis in a form that compares float fields by bit
+// pattern: its JSON, where every float64 is written as the shortest decimal
+// that reads back to the same bits.
+func analysisBits(t *testing.T, a Analysis) string {
+	t.Helper()
+	b, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// A summary survives its wire form: the JSON of a Summary built from random
+// terms with removals decodes to a summary whose Analysis is bit-identical,
+// and merging decoded halves gives the same answer as Analyze.
+func TestSummaryJSONRoundTrip(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	users := randomGroupings(rnd, 500)
+	var s, halves [2]Summary
+	for _, u := range users {
+		s[0].Add(u.Term())
+		halves[rnd.Intn(2)].Add(u.Term())
+	}
+	for _, u := range randomGroupings(rnd, 40) {
+		s[0].Add(u.Term())
+		s[0].Remove(u.Term())
+	}
+	want := analysisBits(t, Analyze(users))
+	b, err := json.Marshal(s[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &s[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := analysisBits(t, s[1].Analysis()); got != want {
+		t.Fatalf("decoded analysis\n got %s\nwant %s", got, want)
+	}
+	var merged Summary
+	for i := range halves {
+		b, err := json.Marshal(&halves[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Summary
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(&back)
+	}
+	if got := analysisBits(t, merged.Analysis()); got != want {
+		t.Fatalf("merged decoded halves\n got %s\nwant %s", got, want)
+	}
+
+	var empty Summary
+	if b, _ := json.Marshal(empty); string(b) != groupsDoc() {
+		t.Fatalf("empty summary encodes as %s", b)
+	}
+	if !empty.Empty() || s[0].Empty() {
+		t.Fatal("Empty disagrees with the users held")
+	}
+}
+
+// groupsDoc is a summary document whose first groups are gs and whose
+// remaining groups are empty.
+func groupsDoc(gs ...string) string {
+	for len(gs) < NumGroups {
+		gs = append(gs, "{}")
+	}
+	return "[" + strings.Join(gs, ",") + "]"
+}
+
+// The decoder rejects what no summary can hold and leaves its target alone.
+func TestSummaryJSONRejects(t *testing.T) {
+	for _, doc := range []string{
+		`[]`,
+		"[" + strings.Repeat("{},", NumGroups-2) + "{}]",
+		"[" + strings.Repeat("{},", NumGroups) + "{}]",
+		groupsDoc(`{"users":-1}`),
+		groupsDoc(`{}`, `{"tweets":-3}`),
+		groupsDoc(`{}`, `{}`, `{"districts":-1}`),
+		groupsDoc(`{}`, `{}`, `{}`, `{"matched":-1}`),
+		groupsDoc(`{"shares":[1e400]}`),
+		groupsDoc(`{"shares":[1e300]}`),
+		groupsDoc(`{"shares":[-18014398509481984]}`),
+		groupsDoc(`{"users":"1"}`),
+		`{"users":1}`,
+		`null`,
+	} {
+		var s Summary
+		s.Add(UserTerm{Group: Top1, Tweets: 2, Districts: 1, Matched: 1})
+		before := analysisBits(t, s.Analysis())
+		if err := json.Unmarshal([]byte(doc), &s); err == nil {
+			t.Errorf("accepted %s", doc)
+		}
+		if got := analysisBits(t, s.Analysis()); got != before {
+			t.Errorf("rejected %s but changed the summary", doc)
+		}
+	}
+}
+
+// FuzzSummaryJSON feeds arbitrary bytes to the Summary decoder and checks
+// three properties: no input panics; an accepted document is a fixed point
+// after one encode→decode (and keeps its Analysis bit for bit); and the
+// same bytes read as a schedule of user terms (four bytes per term, as in
+// FuzzSummary) give a summary whose wire form decodes to a bit-identical
+// Analysis. Seeds live in testdata/fuzz/FuzzSummaryJSON.
+func FuzzSummaryJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			t.Skip()
+		}
+		var s Summary
+		if err := json.Unmarshal(data, &s); err == nil {
+			b1, err := json.Marshal(s)
+			if err != nil {
+				t.Fatalf("encode accepted summary: %v", err)
+			}
+			var s2 Summary
+			if err := json.Unmarshal(b1, &s2); err != nil {
+				t.Fatalf("own encoding %s rejected: %v", b1, err)
+			}
+			b2, err := json.Marshal(s2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b1, b2) {
+				t.Fatalf("not a fixed point:\n once  %s\n twice %s", b1, b2)
+			}
+			if a1, a2 := analysisBits(t, s.Analysis()), analysisBits(t, s2.Analysis()); a1 != a2 {
+				t.Fatalf("round trip moved the analysis:\n %s\n %s", a1, a2)
+			}
+		}
+
+		var built Summary
+		for i := 0; i+4 <= len(data); i += 4 {
+			total := int(data[i+1]) + 1
+			term := UserTerm{
+				Group:     Group(int(data[i]&0x7f) % NumGroups),
+				Tweets:    total,
+				Matched:   int(data[i+2]) % (total + 1),
+				Districts: 1 + int(data[i+3])%total,
+			}
+			if data[i]&0x80 != 0 {
+				built.Remove(term)
+				built.Add(term)
+			}
+			built.Add(term)
+		}
+		b, err := json.Marshal(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Summary
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("summary of terms %s rejected: %v", b, err)
+		}
+		if got, want := analysisBits(t, back.Analysis()), analysisBits(t, built.Analysis()); got != want {
+			t.Fatalf("wire form moved the analysis:\n got %s\nwant %s", got, want)
 		}
 	})
 }

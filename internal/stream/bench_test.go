@@ -57,34 +57,62 @@ func BenchmarkStreamIngest(b *testing.B) {
 
 // BenchmarkEngineAnalysis measures the query-time cut /v1/groups reads:
 // merging the shard summaries. Its cost and allocations must stay flat in
-// the user count. Tweets land on a spread of places, so users fall in every
-// group with match shares of many denominators.
+// the user count.
 func BenchmarkEngineAnalysis(b *testing.B) {
-	places := somePlaces(16)
 	for _, users := range []int{2_000, 20_000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
-			profiles := func(_ context.Context, id twitter.UserID) (core.Place, bool, error) {
-				return places[int(id)%len(places)], true, nil
-			}
-			eng, err := New(Config{Profiles: profiles, Resolver: placeResolver(places), Metrics: obs.Discard})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			rnd := rand.New(rand.NewSource(1))
-			for i := 0; i < 8*users; i++ {
-				eng.Ingest(geoTweet(int64(i), int64(rnd.Intn(users)), float64(rnd.Intn(len(places)))))
-			}
-			eng.Drain()
-			if a := eng.Analysis(); a.Users < users*9/10 || a.Groups[core.Top2].Users == 0 {
-				b.Fatalf("analysis holds %d users (Top-2: %d), want about %d in several groups", a.Users, a.Groups[core.Top2].Users, users)
-			}
+			eng := benchEngine(b, users)
 			b.ReportAllocs()
 			for b.Loop() {
 				eng.Analysis()
 			}
 		})
 	}
+}
+
+// BenchmarkEnginePartitionSummaries measures the cut a cluster worker
+// serves its router: the summaries of 64 partitions, merged across the
+// shards. The re-bucketing first call is outside the timer; like Analysis,
+// the cost must stay flat in the user count.
+func BenchmarkEnginePartitionSummaries(b *testing.B) {
+	const partitions = 64
+	for _, users := range []int{2_000, 20_000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			eng := benchEngine(b, users)
+			if n := len(eng.PartitionSummaries(partitions)); n != partitions {
+				b.Fatalf("%d of %d partitions hold users", n, partitions)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				eng.PartitionSummaries(partitions)
+			}
+		})
+	}
+}
+
+// benchEngine is a drained engine holding about users users. Tweets land
+// on a spread of places, so users fall in every group with match shares of
+// many denominators.
+func benchEngine(b *testing.B, users int) *Engine {
+	b.Helper()
+	places := somePlaces(16)
+	profiles := func(_ context.Context, id twitter.UserID) (core.Place, bool, error) {
+		return places[int(id)%len(places)], true, nil
+	}
+	eng, err := New(Config{Profiles: profiles, Resolver: placeResolver(places), Metrics: obs.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(eng.Close)
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 8*users; i++ {
+		eng.Ingest(geoTweet(int64(i), int64(rnd.Intn(users)), float64(rnd.Intn(len(places)))))
+	}
+	eng.Drain()
+	if a := eng.Analysis(); a.Users < users*9/10 || a.Groups[core.Top2].Users == 0 {
+		b.Fatalf("analysis holds %d users (Top-2: %d), want about %d in several groups", a.Users, a.Groups[core.Top2].Users, users)
+	}
+	return eng
 }
 
 // placeResolver maps a point to the place its integer latitude indexes.

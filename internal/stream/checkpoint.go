@@ -281,7 +281,7 @@ func (e *Engine) loadCheckpoint() error {
 			continue
 		}
 		sh.users[twitter.UserID(id)] = st
-		sh.retally(core.UserTerm{}, st.term())
+		sh.retally(twitter.UserID(id), core.UserTerm{}, st.term())
 	}
 	for _, key := range store.KeysWithPrefix(ckptRejectPrefix) {
 		idStr := strings.TrimPrefix(key, ckptRejectPrefix)

@@ -11,7 +11,7 @@
 // group/rank/reliability-weight) over a small HTTP API.
 //
 // Correctness anchor: after draining any tweet sequence, Snapshot() and the
-// per-shard summaries Analysis() merges are byte-for-byte equal to batch
+// partition summaries Analysis() merges are byte-for-byte equal to batch
 // core.Analyze over the same tweets — the differential tests enforce this,
 // including across checkpoint/resume and shard handoff.
 package stream
@@ -132,18 +132,34 @@ type shard struct {
 	rejectedTweets int64
 	drops          atomic.Int64
 
-	// sum is the §IV fold over the shard's grouped users, kept current per
-	// tweet: queries, GroupCounts and the group gauges read it instead of
-	// materialising the users.
-	sum core.Summary
+	// parts[p] is the §IV fold over the shard's grouped users in hash
+	// partition p of len(parts) (PartitionOf), kept current per tweet:
+	// queries, GroupCounts and the group gauges merge the parts instead of
+	// materialising the users. There is one part until a partitioned read
+	// (PartitionSummaries) asks for more.
+	parts []core.Summary
 }
 
-// retally moves one user's term in the shard summary: old comes out (the
-// zero term when the user had none), cur goes in (the zero term when the
-// user is gone). Callers hold sh.mu.
-func (sh *shard) retally(old, cur core.UserTerm) {
-	sh.sum.Remove(old)
-	sh.sum.Add(cur)
+// retally moves user id's term in the summary of the user's partition: old
+// comes out (the zero term when the user had none), cur goes in (the zero
+// term when the user is gone). Callers hold sh.mu.
+func (sh *shard) retally(id twitter.UserID, old, cur core.UserTerm) {
+	s := &sh.parts[PartitionOf(id, len(sh.parts))]
+	s.Remove(old)
+	s.Add(cur)
+}
+
+// repartition re-buckets the shard's users into n partition summaries. It
+// costs O(users on the shard) when n changes and nothing otherwise. Callers
+// hold sh.mu.
+func (sh *shard) repartition(n int) {
+	if len(sh.parts) == n {
+		return
+	}
+	sh.parts = make([]core.Summary, n)
+	for id, st := range sh.users {
+		sh.retally(id, core.UserTerm{}, st.term())
+	}
 }
 
 // Engine is the live ingestion engine. All methods are safe for concurrent
@@ -236,6 +252,7 @@ func New(cfg Config) (*Engine, error) {
 			users:    make(map[twitter.UserID]*userState),
 			rejected: make(map[twitter.UserID]bool),
 			dirty:    make(map[twitter.UserID]bool),
+			parts:    make([]core.Summary, 1),
 			rnd:      prioRNG{s: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(i)},
 		}
 		lbl := strconv.Itoa(i)
@@ -281,10 +298,16 @@ func (e *Engine) registerGauges() {
 	}
 }
 
-// shardOf routes a user to their shard: a mixed hash so sequential IDs
-// spread evenly.
+// PartitionOf routes a user to one of n hash partitions: a mixed hash, so
+// sequential IDs spread evenly. The engine's shards, its partition
+// summaries and the cluster's partitions all route by it.
+func PartitionOf(id twitter.UserID, n int) int {
+	return int(splitmix64(uint64(id)) % uint64(n))
+}
+
+// shardOf routes a user to their shard.
 func (e *Engine) shardOf(id twitter.UserID) *shard {
-	return e.shards[splitmix64(uint64(id))%uint64(len(e.shards))]
+	return e.shards[PartitionOf(id, len(e.shards))]
 }
 
 // Ingest queues one tweet for processing and reports whether it was
@@ -506,7 +529,7 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 	old := st.term()
 	st.observe(core.Place{State: loc.State, County: loc.County}, sh.rnd.next)
 	st.lastID = int64(t.ID)
-	sh.retally(old, st.term())
+	sh.retally(t.UserID, old, st.term())
 	sh.processed++
 	sh.dirty[t.UserID] = true
 	e.reg.Counter("stream_processed_total").Inc()

@@ -100,7 +100,7 @@ func (e *Engine) ImportUsers(h Handoff) error {
 			old = prev.term()
 		}
 		d.sh.users[d.id] = d.st
-		d.sh.retally(old, d.st.term())
+		d.sh.retally(d.id, old, d.st.term())
 		d.sh.dirty[d.id] = true
 		d.sh.mu.Unlock()
 	}
@@ -127,7 +127,7 @@ func (e *Engine) DropUsers(drop func(twitter.UserID) bool) (users, rejected int)
 			if !drop(id) {
 				continue
 			}
-			sh.retally(st.term(), core.UserTerm{})
+			sh.retally(id, st.term(), core.UserTerm{})
 			delete(sh.users, id)
 			sh.dirty[id] = true
 			users++

@@ -39,21 +39,50 @@ func (e *Engine) Groupings() []core.UserGrouping {
 	return out
 }
 
-// Analysis is the live §IV analysis: the shard summaries merged, one shard
-// locked at a time, in O(shards × groups) whatever the user count. It equals
-// core.Analyze(e.Groupings()) for the same cut; Drain first for an exact
-// one.
+// Analysis is the live §IV analysis: every shard's partition summaries
+// merged, one shard locked at a time, in O(shards × parts × groups)
+// whatever the user count. It equals core.Analyze(e.Groupings()) for the
+// same cut; Drain first for an exact one.
 func (e *Engine) Analysis() core.Analysis {
 	start := time.Now()
 	var sum core.Summary
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		sum.Merge(&sh.sum)
+		for p := range sh.parts {
+			sum.Merge(&sh.parts[p])
+		}
 		sh.mu.Unlock()
 	}
 	a := sum.Analysis()
 	e.mSnapshotStage.ObserveDuration(time.Since(start))
 	return a
+}
+
+// PartitionSummaries returns the §IV summary of every non-empty hash
+// partition, PartitionOf over n > 0 partitions, merged across the shards:
+// what a cluster worker serves its router. The first call with a new n
+// re-buckets each shard's users once, in O(users); from then on every tweet
+// keeps the n parts current and a call costs O(shards × n × groups).
+// Shards are locked one at a time, as in Analysis.
+func (e *Engine) PartitionSummaries(n int) map[int]*core.Summary {
+	start := time.Now()
+	out := make(map[int]*core.Summary)
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		sh.repartition(n)
+		for p := range sh.parts {
+			if sh.parts[p].Empty() {
+				continue
+			}
+			if out[p] == nil {
+				out[p] = new(core.Summary)
+			}
+			out[p].Merge(&sh.parts[p])
+		}
+		sh.mu.Unlock()
+	}
+	e.mSnapshotStage.ObserveDuration(time.Since(start))
+	return out
 }
 
 // Snapshot materialises the current per-user groupings and their §IV
@@ -104,16 +133,18 @@ func (e *Engine) User(id twitter.UserID) (UserView, bool) {
 }
 
 // GroupCounts is the cheap per-group view (no snapshot build): the user and
-// tweet tallies of the shard summaries.
+// tweet tallies of the partition summaries.
 func (e *Engine) GroupCounts() (users, tweets [core.NumGroups]int) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		u, t := sh.sum.Counts()
-		sh.mu.Unlock()
-		for g := range users {
-			users[g] += u[g]
-			tweets[g] += t[g]
+		for p := range sh.parts {
+			u, t := sh.parts[p].Counts()
+			for g := range users {
+				users[g] += u[g]
+				tweets[g] += t[g]
+			}
 		}
+		sh.mu.Unlock()
 	}
 	return users, tweets
 }

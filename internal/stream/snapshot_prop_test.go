@@ -139,14 +139,18 @@ func TestSnapshotRestorePropertyRandomWorkloads(t *testing.T) {
 	}
 }
 
-// Property: the summary every /v1/groups answer reads stays the fold of the
+// Property: the summaries every /v1/groups answer reads stay the fold of the
 // users the engine holds, whatever moved them in or out. Two engines share
 // one dataset, each on its own checkpoint store; a random interleaving of
-// ingest, handoffs (ExportUsers → ImportUsers → DropUsers), checkpoints and
-// reloads from the store runs over them. After Drain each engine's
-// /v1/groups body is byte-identical to the JSON of
-// core.Analyze(e.Groupings()), GroupCounts equals the summary's integers,
-// and the union of both engines is the batch analysis.
+// ingest, handoffs (ExportUsers → ImportUsers → DropUsers), checkpoints,
+// reloads from the store and partitioned reads (PartitionSummaries with a
+// random partition count, which re-buckets the shards) runs over them.
+// After Drain each engine's /v1/groups body is byte-identical to the JSON
+// of core.Analyze(e.Groupings()), GroupCounts equals the summary's
+// integers, each partition's summary is the analysis of exactly that
+// partition's users and the partitions merge to Analysis(), for the count
+// in use and again after a re-bucket to another. The union of both engines
+// is the batch analysis.
 func TestAnalysisMatchesGroupingsUnderHandoffAndRestore(t *testing.T) {
 	for round := int64(0); round < 4; round++ {
 		seed := 20261017 + round
@@ -230,6 +234,7 @@ func TestAnalysisMatchesGroupingsUnderHandoffAndRestore(t *testing.T) {
 					if err := nodes[rnd.Intn(2)].eng.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
+					nodes[rnd.Intn(2)].eng.PartitionSummaries(1 + rnd.Intn(40))
 				default:
 					// Reload: checkpoint, stop, rebuild from the store.
 					n := nodes[rnd.Intn(2)]
@@ -267,10 +272,46 @@ func TestAnalysisMatchesGroupingsUnderHandoffAndRestore(t *testing.T) {
 					}
 				}
 			}
+			for _, n := range nodes {
+				gs := n.eng.Groupings()
+				for _, parts := range []int{1 + rnd.Intn(40), 41 + rnd.Intn(40)} {
+					assertPartitionSummaries(t, n.eng, gs, parts)
+				}
+			}
 			sort.Slice(all, func(i, j int) bool { return all[i].UserID < all[j].UserID })
 			if got, want := mustJSON(t, core.Analyze(all)), mustJSON(t, res.Analysis); !bytes.Equal(got, want) {
 				t.Fatalf("union of both nodes diverges from batch:\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// assertPartitionSummaries checks e.PartitionSummaries(n) against the
+// drained engine's groupings gs: every partition's summary analyses to
+// core.Analyze over exactly that partition's users, no non-empty partition
+// is missing, and the summaries merge to e.Analysis(), bit for bit.
+func assertPartitionSummaries(t *testing.T, e *Engine, gs []core.UserGrouping, n int) {
+	t.Helper()
+	byPart := map[int][]core.UserGrouping{}
+	for _, g := range gs {
+		p := PartitionOf(twitter.UserID(g.UserID), n)
+		byPart[p] = append(byPart[p], g)
+	}
+	sums := e.PartitionSummaries(n)
+	if len(sums) != len(byPart) {
+		t.Fatalf("n=%d: %d partition summaries, %d partitions hold users", n, len(sums), len(byPart))
+	}
+	var merged core.Summary
+	for p, s := range sums {
+		if p < 0 || p >= n {
+			t.Fatalf("n=%d: summary for partition %d", n, p)
+		}
+		if got, want := mustJSON(t, s.Analysis()), mustJSON(t, core.Analyze(byPart[p])); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d partition %d:\n got %s\nwant %s", n, p, got, want)
+		}
+		merged.Merge(s)
+	}
+	if got, want := mustJSON(t, merged.Analysis()), mustJSON(t, e.Analysis()); !bytes.Equal(got, want) {
+		t.Fatalf("n=%d: merged partitions\n got %s\nwant %s", n, got, want)
 	}
 }

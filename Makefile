@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzClassify$$' -fuzztime 10s ./internal/textnorm/
 	$(GO) test -run xxx -fuzz '^FuzzSummary$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz '^FuzzSummaryJSON$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzDecodeUserState$$' -fuzztime 10s ./internal/stream/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"stir/internal/core"
@@ -121,4 +122,28 @@ type placeResolver []core.Place
 func (r placeResolver) Reverse(_ context.Context, p geo.Point) (geocode.Location, error) {
 	pl := r[int(p.Lat)%len(r)]
 	return geocode.Location{State: pl.State, County: pl.County}, nil
+}
+
+// BenchmarkUserStateObserve measures one tweet applied to a user holding k
+// distinct places, at k = 3 (a typical user), 12 (the synthetic users'
+// neighbourhood) and 227 (every Korean district, the bound). Tweets cycle
+// through the places in descending key order, the worst case for the flat
+// state: each one is found at the tail and carried across the whole
+// equal-count run. The steady state must not allocate.
+func BenchmarkUserStateObserve(b *testing.B) {
+	for _, k := range []int{3, 12, 227} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			places := somePlaces(k)
+			sort.Slice(places, func(i, j int) bool { return places[i].Key() > places[j].Key() })
+			st := newUserState(1, places[k/2])
+			for _, p := range places {
+				st.observe(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.observe(places[i%k])
+			}
+		})
+	}
 }

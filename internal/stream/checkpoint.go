@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -61,8 +63,8 @@ type placeCount struct {
 	N      int    `json:"n"`
 }
 
-// userRec is one user's persisted multiset; rank, group and the treap are
-// rebuilt on load.
+// userRec is one user's persisted multiset, its places in batch order; rank
+// and group are rebuilt on load.
 type userRec struct {
 	ID            int64        `json:"id"`
 	ProfileState  string       `json:"ps"`
@@ -77,40 +79,55 @@ func encodeUserState(st *userState) ([]byte, error) {
 		ProfileState:  st.profile.State,
 		ProfileCounty: st.profile.County,
 		LastID:        st.lastID,
-		Places:        make([]placeCount, 0, len(st.nodes)),
+		Places:        make([]placeCount, len(st.places)),
 	}
-	// In-order walk gives a deterministic on-disk order.
-	osInorder(st.root, func(n *osNode) {
-		rec.Places = append(rec.Places, placeCount{State: n.place.State, County: n.place.County, N: n.count})
-	})
+	for i, t := range st.places {
+		rec.Places[i] = placeCount{State: t.place.State, County: t.place.County, N: t.count}
+	}
 	return json.Marshal(rec)
 }
 
-// decodeUserState rebuilds the live state: reinsert every place with its
-// multiplicity, then re-rank the matched string.
-func decodeUserState(b []byte, prio func() uint64) (*userState, error) {
+// decodeUserState rebuilds the live state: collect every place with its
+// multiplicity, sort once into batch order (a record's own order is not
+// trusted), then rank the matched string.
+func decodeUserState(b []byte) (*userState, error) {
 	var rec userRec
 	if err := json.Unmarshal(b, &rec); err != nil {
 		return nil, fmt.Errorf("stream: decode checkpoint user: %w", err)
 	}
-	st := newUserState(rec.ID, core.Place{State: rec.ProfileState, County: rec.ProfileCounty})
-	st.lastID = rec.LastID
+	st := &userState{
+		id:      rec.ID,
+		profile: core.Place{State: rec.ProfileState, County: rec.ProfileCounty},
+		places:  make([]tally, 0, len(rec.Places)),
+		lastID:  rec.LastID,
+	}
+	seen := make(map[core.Place]bool, len(rec.Places))
 	for _, pc := range rec.Places {
 		if pc.N <= 0 {
 			return nil, fmt.Errorf("stream: checkpoint user %d: non-positive count %d", rec.ID, pc.N)
 		}
+		if pc.N > math.MaxInt-st.total {
+			return nil, fmt.Errorf("stream: checkpoint user %d: tweet total overflows", rec.ID)
+		}
 		p := core.Place{State: pc.State, County: pc.County}
-		if _, dup := st.nodes[p]; dup {
+		if seen[p] {
 			return nil, fmt.Errorf("stream: checkpoint user %d: duplicate place %q", rec.ID, p.Key())
 		}
-		n := &osNode{place: p, key: p.Key(), count: pc.N, prio: prio()}
-		st.nodes[p] = n
-		st.root = osInsert(st.root, n)
+		seen[p] = true
+		st.places = append(st.places, tally{place: p, key: p.Key(), count: pc.N})
 		st.total += pc.N
 	}
-	if m := st.nodes[st.profile]; m != nil {
-		st.match = m
-		st.rank = osRank(st.root, m.count, m.key)
+	// Stable, so a record already in batch order keeps it even where two
+	// places share a key.
+	sort.SliceStable(st.places, func(i, j int) bool {
+		a, b := st.places[i], st.places[j]
+		return beforeCK(a.count, a.key, b.count, b.key)
+	})
+	for i, t := range st.places {
+		if t.place == st.profile {
+			st.rank = i + 1
+			break
+		}
 	}
 	st.group = core.GroupOfRank(st.rank)
 	return st, nil
@@ -275,7 +292,7 @@ func (e *Engine) loadCheckpoint() error {
 			continue
 		}
 		sh := e.shardOf(twitter.UserID(id))
-		st, err := decodeUserState(b, sh.rnd.next)
+		st, err := decodeUserState(b)
 		if err != nil {
 			dropped.Inc()
 			continue

@@ -3,11 +3,12 @@
 // dataset, §IV) and keeps the §III grouping analysis continuously up to
 // date. Tweets fan out to user-hash-sharded workers over bounded channels;
 // each shard holds its users' incremental grouping state, so one tweet costs
-// O(log k) (an order-statistic treap update plus a rank query) instead of a
-// full re-analysis. The engine reconnects through a resilience policy with
-// backoff and a breaker, checkpoints shard state atomically through
-// internal/storage for crash-safe resume, publishes stream_* metrics via
-// internal/obs, and answers live queries (per-group statistics, per-user
+// O(k) for a user with k distinct districts (a find and a short move in a
+// slice kept in batch order) instead of a full re-analysis. The engine
+// reconnects through a resilience policy with backoff and a breaker,
+// checkpoints shard state atomically through internal/storage for
+// crash-safe resume, publishes stream_* metrics via internal/obs, and
+// answers live queries (per-group statistics, per-user
 // group/rank/reliability-weight) over a small HTTP API.
 //
 // Correctness anchor: after draining any tweet sequence, Snapshot() and the
@@ -70,7 +71,7 @@ type Config struct {
 	Profiles ProfileFunc
 	// Resolver reverse-geocodes tweet GPS points (required).
 	Resolver geocode.Resolver
-	// Seed fixes the treap-priority and shard-hash streams (default 1).
+	// Seed seeds the default reconnect policy's backoff jitter (default 1).
 	Seed int64
 	// Store, when set, enables Checkpoint/resume: New loads any existing
 	// "stream/" state from it.
@@ -119,7 +120,6 @@ type shard struct {
 	users    map[twitter.UserID]*userState
 	rejected map[twitter.UserID]bool
 	dirty    map[twitter.UserID]bool // changed since last checkpoint
-	rnd      prioRNG
 
 	// Funnel counters, guarded by mu (drops is atomic: Ingest writes it
 	// from outside the worker).
@@ -253,7 +253,6 @@ func New(cfg Config) (*Engine, error) {
 			rejected: make(map[twitter.UserID]bool),
 			dirty:    make(map[twitter.UserID]bool),
 			parts:    make([]core.Summary, 1),
-			rnd:      prioRNG{s: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(i)},
 		}
 		lbl := strconv.Itoa(i)
 		e.mIngested[i] = reg.Counter("stream_ingested_total", "shard", lbl)
@@ -527,7 +526,7 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		return
 	}
 	old := st.term()
-	st.observe(core.Place{State: loc.State, County: loc.County}, sh.rnd.next)
+	st.observe(core.Place{State: loc.State, County: loc.County})
 	st.lastID = int64(t.ID)
 	sh.retally(t.UserID, old, st.term())
 	sh.processed++

@@ -69,40 +69,26 @@ func (e *Engine) ExportUsers(keep func(twitter.UserID) bool) (Handoff, error) {
 // it. An already-present user is replaced — the exporter's copy is at least
 // as new, and a retried handoff must be idempotent.
 func (e *Engine) ImportUsers(h Handoff) error {
-	type decoded struct {
-		sh *shard
-		id twitter.UserID
-		st *userState
-	}
-	states := make([]decoded, 0, len(h.Users))
+	states := make([]*userState, 0, len(h.Users))
 	for _, raw := range h.Users {
-		// Peek the ID to pick the shard whose priority stream seeds the treap.
-		var peek struct {
-			ID int64 `json:"id"`
-		}
-		if err := json.Unmarshal(raw, &peek); err != nil {
-			return fmt.Errorf("stream: import: %w", err)
-		}
-		sh := e.shardOf(twitter.UserID(peek.ID))
-		// The shard worker draws from the same priority stream under mu.
-		sh.mu.Lock()
-		st, err := decodeUserState(raw, sh.rnd.next)
-		sh.mu.Unlock()
+		st, err := decodeUserState(raw)
 		if err != nil {
 			return fmt.Errorf("stream: import: %w", err)
 		}
-		states = append(states, decoded{sh: sh, id: twitter.UserID(peek.ID), st: st})
+		states = append(states, st)
 	}
-	for _, d := range states {
-		d.sh.mu.Lock()
+	for _, st := range states {
+		id := twitter.UserID(st.id)
+		sh := e.shardOf(id)
+		sh.mu.Lock()
 		var old core.UserTerm
-		if prev := d.sh.users[d.id]; prev != nil {
+		if prev := sh.users[id]; prev != nil {
 			old = prev.term()
 		}
-		d.sh.users[d.id] = d.st
-		d.sh.retally(d.id, old, d.st.term())
-		d.sh.dirty[d.id] = true
-		d.sh.mu.Unlock()
+		sh.users[id] = st
+		sh.retally(id, old, st.term())
+		sh.dirty[id] = true
+		sh.mu.Unlock()
 	}
 	for _, id := range h.Rejected {
 		sh := e.shardOf(twitter.UserID(id))

@@ -127,7 +127,7 @@ func (e *Engine) User(id twitter.UserID) (UserView, bool) {
 		Rank:              st.rank,
 		MatchedTweets:     st.matchedTweets(),
 		TotalTweets:       st.total,
-		DistinctDistricts: len(st.nodes),
+		DistinctDistricts: len(st.places),
 		Weight:            st.matchShare(),
 	}, true
 }

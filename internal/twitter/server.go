@@ -81,7 +81,10 @@ func NewAPIServer(svc *Service, opts ServerOptions) *APIServer {
 	s.mux.HandleFunc("/1/statuses/user_timeline.json", s.limited(s.restLimit, s.handleTimeline))
 	s.mux.HandleFunc("/1/search.json", s.limited(s.searchLimit, s.handleSearch))
 	s.mux.HandleFunc("/1/statuses/sample.json", s.handleSample)
-	s.handler = obs.InstrumentHandler(obs.Or(opts.Metrics), "twitterd", s.route, s.mux)
+	reg := obs.Or(opts.Metrics)
+	shed := svc.shed
+	reg.GaugeFunc("stir_twitter_stream_shed_total", func() float64 { return float64(shed.Load()) })
+	s.handler = obs.InstrumentHandler(reg, "twitterd", s.route, s.mux)
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,8 +22,19 @@ type Service struct {
 	following map[UserID][]UserID
 	nextUser  UserID
 	nextTweet TweetID
-	streamers map[int]chan *Tweet
+	streamers map[int]*subscription
 	nextStrm  int
+	// shed counts the tweets lagging subscribers missed, summed over all
+	// of them. It is its own allocation so the API server's gauge can hold
+	// it without pinning the whole tweet store in a long-lived registry.
+	shed *atomic.Int64
+}
+
+// subscription is one sample-stream consumer: its channel and how many
+// tweets it missed because it lagged.
+type subscription struct {
+	ch   chan *Tweet
+	shed int64 // guarded by Service.mu
 }
 
 // Errors returned by the service.
@@ -43,7 +55,8 @@ func NewService() *Service {
 		following: make(map[UserID][]UserID),
 		nextUser:  1,
 		nextTweet: 1,
-		streamers: make(map[int]chan *Tweet),
+		streamers: make(map[int]*subscription),
+		shed:      new(atomic.Int64),
 	}
 }
 
@@ -149,19 +162,19 @@ func (s *Service) PostTweet(user UserID, text string, createdAt time.Time, geo *
 	s.nextTweet++
 	s.byUser[user] = append(s.byUser[user], len(s.tweets))
 	s.tweets = append(s.tweets, t)
-	streamers := make([]chan *Tweet, 0, len(s.streamers))
-	for _, ch := range s.streamers {
-		streamers = append(streamers, ch)
-	}
-	s.mu.Unlock()
-	// Deliver to streams outside the lock; drop when a consumer lags, the
-	// same best-effort contract as the real sample stream.
-	for _, ch := range streamers {
+	// Deliver under the lock, so a concurrent cancel cannot close a channel
+	// mid-send. The sends never block: a
+	// lagging consumer misses the tweet, the same best-effort contract as
+	// the real sample stream, and the miss is counted against it.
+	for _, sub := range s.streamers {
 		select {
-		case ch <- t:
+		case sub.ch <- t:
 		default:
+			sub.shed++
+			s.shed.Add(1)
 		}
 	}
+	s.mu.Unlock()
 	return t, nil
 }
 
@@ -260,22 +273,27 @@ func (s *Service) OpenStream(buffer int) (<-chan *Tweet, func()) {
 	if buffer <= 0 {
 		buffer = 256
 	}
-	ch := make(chan *Tweet, buffer)
+	sub := &subscription{ch: make(chan *Tweet, buffer)}
 	s.mu.Lock()
 	id := s.nextStrm
 	s.nextStrm++
-	s.streamers[id] = ch
+	s.streamers[id] = sub
 	s.mu.Unlock()
 	cancel := func() {
 		s.mu.Lock()
 		if _, ok := s.streamers[id]; ok {
 			delete(s.streamers, id)
-			close(ch)
+			close(sub.ch)
 		}
 		s.mu.Unlock()
 	}
-	return ch, cancel
+	return sub.ch, cancel
 }
+
+// StreamShed reports how many tweets the firehose dropped because a
+// subscriber lagged, summed over every subscription ever opened: a tweet
+// missed by two subscribers counts twice.
+func (s *Service) StreamShed() int64 { return s.shed.Load() }
 
 // StreamerCount reports how many live stream subscriptions are open —
 // drivers that replay traffic use it to wait until a consumer is listening,

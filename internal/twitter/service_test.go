@@ -2,10 +2,14 @@ package twitter
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
+
+	"stir/internal/obs"
 )
 
 var t0 = time.Date(2011, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -240,6 +244,85 @@ func TestStreamSlowConsumerDrops(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("posting blocked on slow stream consumer")
 	}
+}
+
+// TestStreamShedCountedPerSubscriber opens two one-slot subscriptions, drains
+// one after every post and never reads the other: the drained one misses
+// nothing, the other misses every tweet after the first, and StreamShed and
+// the API server's gauge report the sum.
+func TestStreamShedCountedPerSubscriber(t *testing.T) {
+	s := NewService()
+	u := newUser(t, s, "a", "")
+	reg := obs.NewRegistry()
+	NewAPIServer(s, ServerOptions{Metrics: reg})
+	drained, cancelDrained := s.OpenStream(1)
+	defer cancelDrained()
+	_, cancelLagging := s.OpenStream(1)
+	const posts = 10
+	for i := 0; i < posts; i++ {
+		if _, err := s.PostTweet(u.ID, "flood", t0, nil); err != nil {
+			t.Fatal(err)
+		}
+		<-drained
+	}
+	s.mu.RLock()
+	got := []int64{s.streamers[0].shed, s.streamers[1].shed}
+	s.mu.RUnlock()
+	if got[0] != 0 || got[1] != posts-1 {
+		t.Fatalf("per-subscriber shed = %v, want [0 %d]", got, posts-1)
+	}
+	cancelLagging()
+	if n := s.StreamShed(); n != posts-1 {
+		t.Fatalf("StreamShed = %d, want %d", n, posts-1)
+	}
+	if m, ok := reg.Snapshot().Get("stir_twitter_stream_shed_total"); !ok || m.Value != posts-1 {
+		t.Fatalf("stir_twitter_stream_shed_total = %+v (found %v), want %d", m, ok, posts-1)
+	}
+}
+
+// TestShedGaugeDoesNotPinService drops a service whose API server exported
+// the shed gauge: the registry outlives both and must not keep the tweet
+// store reachable.
+func TestShedGaugeDoesNotPinService(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc := NewService()
+	NewAPIServer(svc, ServerOptions{Metrics: reg})
+	w := weak.Make(svc)
+	svc = nil
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("the metrics registry keeps a dropped service reachable")
+	}
+	if _, ok := reg.Snapshot().Get("stir_twitter_stream_shed_total"); !ok {
+		t.Fatal("stir_twitter_stream_shed_total not exported")
+	}
+}
+
+// TestStreamCancelDuringPost closes subscriptions while a poster runs: a
+// post must never send on a channel a concurrent cancel has closed.
+func TestStreamCancelDuringPost(t *testing.T) {
+	s := NewService()
+	u := newUser(t, s, "a", "")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.PostTweet(u.ID, "x", t0, nil)
+			}
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		_, cancel := s.OpenStream(1)
+		cancel()
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestEachTweetAndUser(t *testing.T) {

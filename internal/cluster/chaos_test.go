@@ -267,8 +267,16 @@ func TestClusterReplicatedIngest(t *testing.T) {
 		t.Fatalf("replicated cluster lost users with one replica down: %d vs %d",
 			len(gs), len(res.Groupings))
 	}
+	// Every partition keeps an answering owner, so /v1/groups is whole: not
+	// partial, w3 listed as the one error. /v1/stats is partial: its sums
+	// miss w3's own counters.
 	want := routerGroupsBody(t, res.Analysis, 3, errs)
 	if got := getBody(t, srv.URL+"/v1/groups", http.StatusOK); string(got) != string(want) {
 		t.Fatalf("/v1/groups with one replica down:\n got %s\nwant %s", got, want)
+	}
+	var stats StatsResult
+	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &stats)
+	if !stats.Partial || stats.WorkersOK != 2 || len(stats.Errors) != 1 {
+		t.Fatalf("/v1/stats with one replica down: %+v", stats)
 	}
 }

@@ -239,12 +239,13 @@ func getBody(t testing.TB, url string, wantStatus int) []byte {
 }
 
 // routerGroupsBody is the /v1/groups body a router with workers members, of
-// which those in errs did not answer, serves for analysis a.
+// which those in errs did not answer, serves for analysis a while every
+// partition still has an answering owner: not partial, errors listed.
 func routerGroupsBody(t testing.TB, a core.Analysis, workers int, errs []WorkerError) []byte {
 	t.Helper()
 	res := a.Result()
 	res.Workers, res.WorkersOK = workers, workers-len(errs)
-	res.Partial, res.Errors = len(errs) > 0, errs
+	res.Errors = errs
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(res); err != nil {
 		t.Fatal(err)

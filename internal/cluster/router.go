@@ -41,8 +41,9 @@ type Options struct {
 	// handoff filter.
 	Partitions int
 	// Replicas is each partition's owner-set size: every tweet forwards to
-	// this many workers, and scatter-gather tolerates Replicas-1 of them
-	// being down without going partial (default 1).
+	// this many workers, and /v1/groups tolerates Replicas-1 of them being
+	// down without going partial (default 1). /v1/stats sums per-worker
+	// counters, so it goes partial whenever a worker does not answer.
 	Replicas int
 	// JournalDepth caps the per-worker replay journal; overflowing entries
 	// are evicted oldest-first and counted — an evicted entry can no longer

@@ -40,18 +40,11 @@ type StatsResult struct {
 	Partial   bool          `json:"partial"`
 	Errors    []WorkerError `json:"errors,omitempty"`
 
-	Users           int   `json:"users"`
-	RejectedUsers   int   `json:"rejected_users"`
-	Ingested        int64 `json:"ingested"`
-	Processed       int64 `json:"processed"`
-	NonGeo          int64 `json:"non_geo"`
-	GeocodeFailures int64 `json:"geocode_failures"`
-	ProfileErrors   int64 `json:"profile_errors"`
-	ResolveErrors   int64 `json:"resolve_errors"`
-	Duplicates      int64 `json:"duplicates"`
-	RejectedTweets  int64 `json:"rejected_tweets"`
-	Dropped         int64 `json:"dropped"`
-	Checkpoints     int64 `json:"checkpoints"`
+	Users         int   `json:"users"`
+	RejectedUsers int   `json:"rejected_users"`
+	Ingested      int64 `json:"ingested"`
+	stream.Ledger
+	Checkpoints int64 `json:"checkpoints"`
 
 	RouterSeq int64 `json:"router_seq"`
 }
@@ -162,15 +155,18 @@ func (r *Router) Groupings(ctx context.Context) ([]core.UserGrouping, []WorkerEr
 // tweets, the earlier owner on a tie. On a drained cluster a partition's
 // replicas hold the same users, so the answer is exact. A copy of a
 // partition on a worker outside its owner set, as a failed handoff drop
-// leaves behind, is never read.
+// leaves behind, is never read. The answer is partial only when some
+// partition has no answering owner; a worker that failed to answer is
+// listed in errors either way.
 func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
 	ring, workers := r.membership()
 	perWorker, errs := gather[map[int]*core.Summary](r, ctx, workers,
 		"/cluster/v1/summaries?partitions="+strconv.Itoa(r.opts.Partitions))
 	var sum core.Summary
+	partial := false
 	for p := 0; p < r.opts.Partitions; p++ {
-		var best *core.Summary // nil: no owner answered, or none holds a user of p
-		most := -1
+		var best *core.Summary // nil when the owners that answered hold no user of p
+		most := -1             // -1 until some owner of p answers
 		for _, o := range ring.Owners(p, r.opts.Replicas) {
 			if sums, ok := perWorker[o]; ok {
 				if t := tweetsIn(sums[p]); t > most {
@@ -178,6 +174,7 @@ func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
 				}
 			}
 		}
+		partial = partial || most < 0
 		if best != nil {
 			sum.Merge(best)
 		}
@@ -185,7 +182,7 @@ func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
 	res := sum.Analysis().Result()
 	res.Workers = len(workers)
 	res.WorkersOK = len(workers) - len(errs)
-	res.Partial = len(errs) > 0
+	res.Partial = partial
 	res.Errors = errs
 	status := http.StatusOK
 	if res.Workers > 0 && res.WorkersOK == 0 {
@@ -223,14 +220,7 @@ func (r *Router) Stats(ctx context.Context) (StatsResult, int) {
 		res.Users += s.Users
 		res.RejectedUsers += s.RejectedUsers
 		res.Ingested += s.Ingested
-		res.Processed += s.Processed
-		res.NonGeo += s.NonGeo
-		res.GeocodeFailures += s.GeocodeFailures
-		res.ProfileErrors += s.ProfileErrors
-		res.ResolveErrors += s.ResolveErrors
-		res.Duplicates += s.Duplicates
-		res.RejectedTweets += s.RejectedTweets
-		res.Dropped += s.Dropped
+		res.Add(s.Ledger)
 		res.Checkpoints += s.Checkpoints
 	}
 	status := http.StatusOK

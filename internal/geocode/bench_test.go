@@ -1,0 +1,84 @@
+package geocode
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"stir/internal/admin"
+	"stir/internal/geo"
+	"stir/internal/obs"
+)
+
+// firehoseBodies builds /v1/reverse_batch bodies of perBody points each,
+// drawn the way the firehose produces GPS tweets: half-normal around
+// district centres, plus a small share of strays over the coverage area and
+// far out-of-coverage misses. Each body is the wire text the client sends
+// (one "%.6f,%.6f" line per point).
+func firehoseBodies(gaz *admin.Gazetteer, bodies, perBody int) []string {
+	rng := rand.New(rand.NewSource(7))
+	ds := gaz.Districts()
+	minLat, maxLat, minLon, maxLon := math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
+	for _, d := range ds {
+		minLat, maxLat = math.Min(minLat, d.Center.Lat), math.Max(maxLat, d.Center.Lat)
+		minLon, maxLon = math.Min(minLon, d.Center.Lon), math.Max(maxLon, d.Center.Lon)
+	}
+	point := func() geo.Point {
+		switch r := rng.Float64(); {
+		case r < 0.02:
+			return geo.Point{Lat: minLat + rng.Float64()*(maxLat-minLat), Lon: minLon + rng.Float64()*(maxLon-minLon)}
+		case r < 0.03:
+			return geo.Point{Lat: rng.Float64()*20 - 10, Lon: -150 + rng.Float64()*40}
+		default:
+			d := ds[rng.Intn(len(ds))]
+			dist := math.Min(math.Abs(rng.NormFloat64()*d.RadiusKm/2.2), d.RadiusKm*0.95)
+			return d.Center.Destination(rng.Float64()*360, dist)
+		}
+	}
+	out := make([]string, bodies)
+	for i := range out {
+		var b strings.Builder
+		for j := 0; j < perBody; j++ {
+			if j > 0 {
+				b.WriteByte('\n')
+			}
+			p := point()
+			fmt.Fprintf(&b, "%.6f,%.6f", p.Lat, p.Lon)
+		}
+		out[i] = b.String()
+	}
+	return out
+}
+
+// BenchmarkServerReverseBatch is one /v1/reverse_batch request of 100
+// firehose-shaped points through the server's handler, with the compiled
+// grid (Fast) and without it. The 262,144-point pool is four times the
+// default 65,536-entry memo, so, as on a live firehose, most points miss
+// the memo: without the grid each miss is a gazetteer walk.
+func BenchmarkServerReverseBatch(b *testing.B) {
+	gaz, err := admin.NewKoreaGazetteer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perBody = maxBatchPoints
+	bodies := firehoseBodies(gaz, 1<<18/perBody, perBody)
+	for _, fast := range []bool{true, false} {
+		b.Run(fmt.Sprintf("fast=%v", fast), func(b *testing.B) {
+			srv := NewServer(gaz, ServerOptions{Fast: fast, Metrics: obs.NewRegistry()})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/reverse_batch", strings.NewReader(bodies[i%len(bodies)])))
+				if rec.Code != 200 {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*perBody/b.Elapsed().Seconds(), "points/s")
+		})
+	}
+}

@@ -5,39 +5,40 @@ import (
 	"sync"
 )
 
-// lruCache is a fixed-capacity least-recently-used cache from string keys to
-// values of any type. It exists because reverse-geocoding the same quantised
-// coordinate repeatedly would burn the metered API budget: GPS tweets cluster
-// in a few districts, so the hit rate is high. The client caches Locations;
-// the server memoises whole resolutions (location plus match quality).
-type lruCache[V any] struct {
+// lruCache is a fixed-capacity least-recently-used cache. It exists because
+// reverse-geocoding the same quantised coordinate repeatedly would burn the
+// metered API budget: GPS tweets cluster in a few districts, so the hit rate
+// is high. Both users key it by geo.Point: the client caches Locations under
+// the quantised point, the server memoises whole resolutions (location plus
+// match quality) under the point it was asked.
+type lruCache[K comparable, V any] struct {
 	mu        sync.Mutex
 	cap       int
 	ll        *list.List
-	items     map[string]*list.Element
+	items     map[K]*list.Element
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-type lruEntry[V any] struct {
-	key string
+type lruEntry[K comparable, V any] struct {
+	key K
 	val V
 }
 
-func newLRUCache[V any](capacity int) *lruCache[V] {
+func newLRUCache[K comparable, V any](capacity int) *lruCache[K, V] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &lruCache[V]{
+	return &lruCache[K, V]{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[K]*list.Element, capacity),
 	}
 }
 
 // Get returns the cached value and whether it was present.
-func (c *lruCache[V]) Get(key string) (V, bool) {
+func (c *lruCache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -48,15 +49,15 @@ func (c *lruCache[V]) Get(key string) (V, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
 // Put stores a value, evicting the least recently used entry when full.
-func (c *lruCache[V]) Put(key string, val V) {
+func (c *lruCache[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry[V]).val = val
+		el.Value.(*lruEntry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -64,15 +65,15 @@ func (c *lruCache[V]) Put(key string, val V) {
 		oldest := c.ll.Back()
 		if oldest != nil {
 			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*lruEntry[V]).key)
+			delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 			c.evictions++
 		}
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 }
 
 // Len returns the number of cached entries.
-func (c *lruCache[V]) Len() int {
+func (c *lruCache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
@@ -85,7 +86,7 @@ type CacheStats struct {
 	Entries      int
 }
 
-func (c *lruCache[V]) Stats() CacheStats {
+func (c *lruCache[K, V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.ll.Len()}

@@ -45,7 +45,7 @@ type Client struct {
 	// obs.Default; obs.Discard disables).
 	Metrics *obs.Registry
 
-	cache   *lruCache[Location]
+	cache   *lruCache[geo.Point, Location]
 	sleep   func(context.Context, time.Duration) error
 	polOnce sync.Once
 	pol     *resilience.Policy
@@ -62,7 +62,7 @@ func NewClient(baseURL string, cacheSize int) *Client {
 		QuantizeDecimals: 3,
 		MaxBackoff:       2 * time.Second,
 		MaxRetries:       6,
-		cache:            newLRUCache[Location](cacheSize),
+		cache:            newLRUCache[geo.Point, Location](cacheSize),
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -94,20 +94,17 @@ func (c *Client) quantize(p geo.Point) geo.Point {
 	return geo.Point{Lat: round(p.Lat), Lon: round(p.Lon)}
 }
 
-func cacheKey(p geo.Point) string { return p.String() }
-
 // Reverse resolves p to a Location, consulting the cache first.
 func (c *Client) Reverse(ctx context.Context, p geo.Point) (Location, error) {
 	q := c.quantize(p)
-	key := cacheKey(q)
-	if loc, ok := c.cache.Get(key); ok {
+	if loc, ok := c.cache.Get(q); ok {
 		return loc, nil
 	}
 	loc, err := c.fetch(ctx, q)
 	if err != nil {
 		return Location{}, err
 	}
-	c.cache.Put(key, loc)
+	c.cache.Put(q, loc)
 	return loc, nil
 }
 
@@ -307,7 +304,7 @@ func RegisterCacheMetrics(reg *obs.Registry, name string, p StatsProvider) {
 type DirectResolver struct {
 	Gaz     GazetteerFunc
 	SlackKm float64
-	cache   *lruCache[Location]
+	cache   *lruCache[geo.Point, Location]
 	quant   int
 }
 
@@ -317,7 +314,7 @@ type GazetteerFunc func(p geo.Point, slackKm float64) (Location, error)
 
 // NewDirectResolver builds an in-process resolver with an LRU of cacheSize.
 func NewDirectResolver(fn GazetteerFunc, slackKm float64, cacheSize int) *DirectResolver {
-	return &DirectResolver{Gaz: fn, SlackKm: slackKm, cache: newLRUCache[Location](cacheSize), quant: 3}
+	return &DirectResolver{Gaz: fn, SlackKm: slackKm, cache: newLRUCache[geo.Point, Location](cacheSize), quant: 3}
 }
 
 // NewGazetteerResolver is the in-process reverse geocoder over gaz: district
@@ -340,15 +337,14 @@ func NewGazetteerResolver(gaz *admin.Gazetteer, slackKm float64, cacheSize int) 
 // Reverse implements Resolver.
 func (d *DirectResolver) Reverse(_ context.Context, p geo.Point) (Location, error) {
 	q := quantizePoint(p, d.quant)
-	key := cacheKey(q)
-	if loc, ok := d.cache.Get(key); ok {
+	if loc, ok := d.cache.Get(q); ok {
 		return loc, nil
 	}
 	loc, err := d.Gaz(q, d.SlackKm)
 	if err != nil {
 		return Location{}, fmt.Errorf("%w: %s", ErrNoMatch, p)
 	}
-	d.cache.Put(key, loc)
+	d.cache.Put(q, loc)
 	return loc, nil
 }
 
@@ -375,29 +371,26 @@ func (c *Client) BatchReverse(ctx context.Context, pts []geo.Point) ([]Location,
 	locs := make([]Location, len(pts))
 	oks := make([]bool, len(pts))
 	// Resolve cache hits first; collect the misses, deduplicated on the
-	// quantised cache key. fanout maps each unique missing key to every
+	// quantised point. fanout maps each unique missing point to every
 	// original index that needs its answer, in first-seen order.
-	var missKeys []string
 	var missPts []geo.Point
-	fanout := make(map[string][]int)
+	fanout := make(map[geo.Point][]int)
 	for i, p := range pts {
 		q := c.quantize(p)
-		key := cacheKey(q)
-		if loc, ok := c.cache.Get(key); ok {
+		if loc, ok := c.cache.Get(q); ok {
 			locs[i], oks[i] = loc, true
 			continue
 		}
-		if _, seen := fanout[key]; !seen {
-			missKeys = append(missKeys, key)
+		if _, seen := fanout[q]; !seen {
 			missPts = append(missPts, q)
 		}
-		fanout[key] = append(fanout[key], i)
+		fanout[q] = append(fanout[q], i)
 	}
 	const chunk = 100
-	for start := 0; start < len(missKeys); start += chunk {
+	for start := 0; start < len(missPts); start += chunk {
 		end := start + chunk
-		if end > len(missKeys) {
-			end = len(missKeys)
+		if end > len(missPts) {
+			end = len(missPts)
 		}
 		var body strings.Builder
 		for j := start; j < end; j++ {
@@ -418,10 +411,10 @@ func (c *Client) BatchReverse(ctx context.Context, pts []geo.Point) ([]Location,
 			if r.Quality == "none" || r.Location == (Location{}) {
 				continue
 			}
-			for _, i := range fanout[missKeys[j]] {
+			for _, i := range fanout[missPts[j]] {
 				locs[i], oks[i] = r.Location, true
 			}
-			c.cache.Put(missKeys[j], r.Location)
+			c.cache.Put(missPts[j], r.Location)
 		}
 	}
 	return locs, oks, nil

@@ -147,7 +147,7 @@ func TestQuantize(t *testing.T) {
 }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache[Location](2)
+	c := newLRUCache[string, Location](2)
 	c.Put("a", Location{County: "A"})
 	c.Put("b", Location{County: "B"})
 	if _, ok := c.Get("a"); !ok {
@@ -175,7 +175,7 @@ func TestLRUCacheEviction(t *testing.T) {
 }
 
 func TestLRUCacheZeroCapacity(t *testing.T) {
-	c := newLRUCache[Location](0)
+	c := newLRUCache[string, Location](0)
 	c.Put("a", Location{})
 	if c.Len() != 1 {
 		t.Fatal("capacity should clamp to 1")

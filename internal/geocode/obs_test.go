@@ -48,7 +48,7 @@ func TestStatsProviderUnified(t *testing.T) {
 }
 
 func TestCacheEvictionCounter(t *testing.T) {
-	c := newLRUCache[Location](2)
+	c := newLRUCache[string, Location](2)
 	c.Put("a", Location{})
 	c.Put("b", Location{})
 	c.Put("c", Location{}) // evicts a
@@ -59,7 +59,7 @@ func TestCacheEvictionCounter(t *testing.T) {
 
 func TestRegisterCacheMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newLRUCache[Location](4)
+	c := newLRUCache[string, Location](4)
 	c.Put("k", Location{})
 	c.Get("k")
 	c.Get("missing")

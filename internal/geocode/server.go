@@ -29,7 +29,7 @@ type Server struct {
 	slackKm float64
 	mux     *http.ServeMux
 	handler http.Handler
-	memo    *lruCache[resolution]
+	memo    *lruCache[geo.Point, resolution]
 	grid    *geofast.Grid
 }
 
@@ -80,7 +80,7 @@ func NewServer(gaz *admin.Gazetteer, opts ServerOptions) *Server {
 		mux:     http.NewServeMux(),
 	}
 	if opts.CacheSize > 0 {
-		s.memo = newLRUCache[resolution](opts.CacheSize)
+		s.memo = newLRUCache[geo.Point, resolution](opts.CacheSize)
 	}
 	s.mux.HandleFunc("/v1/reverse", s.handleReverse)
 	s.mux.HandleFunc("/v1/reverse_batch", s.handleReverseBatch)
@@ -169,9 +169,8 @@ func (s *Server) resolve(p geo.Point) resolution {
 		}
 		// Boundary: fall through to the exact memoised path.
 	}
-	key := p.String()
 	if s.memo != nil {
-		if res, ok := s.memo.Get(key); ok {
+		if res, ok := s.memo.Get(p); ok {
 			return res
 		}
 	}
@@ -189,7 +188,7 @@ func (s *Server) resolve(p geo.Point) resolution {
 		res.loc = Location{Country: d.Country, State: d.State, County: d.County}
 	}
 	if s.memo != nil {
-		s.memo.Put(key, res)
+		s.memo.Put(p, res)
 	}
 	return res
 }

@@ -28,20 +28,6 @@ func TestServerFastMatchesExact(t *testing.T) {
 	fast := httptest.NewServer(NewServer(gaz, ServerOptions{Fast: true}))
 	t.Cleanup(fast.Close)
 
-	fetch := func(base string, lat, lon float64) string {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("%s/v1/reverse?lat=%v&lon=%v", base, lat, lon))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
 	rng := rand.New(rand.NewSource(23))
 	type probe struct{ lat, lon float64 }
 	probes := []probe{
@@ -57,8 +43,81 @@ func TestServerFastMatchesExact(t *testing.T) {
 		probes = append(probes, probe{37.4 + rng.Float64()*0.3, 126.8 + rng.Float64()*0.3})
 	}
 	for _, p := range probes {
-		if e, f := fetch(exact.URL, p.lat, p.lon), fetch(fast.URL, p.lat, p.lon); e != f {
+		if e, f := getReverse(t, exact.URL, p.lat, p.lon), getReverse(t, fast.URL, p.lat, p.lon); e != f {
 			t.Fatalf("point (%v, %v):\nexact: %s\nfast:  %s", p.lat, p.lon, e, f)
+		}
+	}
+}
+
+// getReverse fetches /v1/reverse for one point; %v sends the shortest
+// decimal that parses back to the same float64.
+func getReverse(t *testing.T, base string, lat, lon float64) string {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/reverse?lat=%v&lon=%v", base, lat, lon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// straddle finds two points 1e-7° of latitude apart that the gazetteer puts
+// in different districts yet that print alike at six decimals: it bisects
+// north from Seoul for a district edge, on the first meridian where the
+// pair lands inside one printed micro-degree.
+func straddle(t *testing.T, gaz *admin.Gazetteer) (p1, p2 geo.Point) {
+	t.Helper()
+	county := func(lat, lon float64) string {
+		d, err := gaz.ResolvePoint(geo.Point{Lat: lat, Lon: lon}, -1)
+		if err != nil {
+			return ""
+		}
+		return d.State + "/" + d.County
+	}
+	for i := 0; i < 200; i++ {
+		lon := 126.9 + float64(i)*0.001
+		lo, hi := 37.55, 37.75
+		if county(lo, lon) == county(hi, lon) {
+			continue
+		}
+		for j := 0; j < 60; j++ {
+			if mid := (lo + hi) / 2; county(mid, lon) == county(lo, lon) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		p1 = geo.Point{Lat: hi - 0.5e-7, Lon: lon}
+		p2 = geo.Point{Lat: hi + 0.5e-7, Lon: lon}
+		if p1.String() == p2.String() && county(p1.Lat, lon) != county(p2.Lat, lon) {
+			return p1, p2
+		}
+	}
+	t.Fatal("no district edge found north of Seoul")
+	return
+}
+
+// TestServerMemoKeysExactPoint: the resolution memo keys the point it was
+// asked, not its six-decimal text, so two points that print alike but lie
+// on either side of a district edge each get their own answer — byte for
+// byte what a server without a memo says.
+func TestServerMemoKeysExactPoint(t *testing.T) {
+	gaz, err := admin.NewKoreaGazetteer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := httptest.NewServer(NewServer(gaz, ServerOptions{}))
+	t.Cleanup(memo.Close)
+	bare := httptest.NewServer(NewServer(gaz, ServerOptions{CacheSize: -1}))
+	t.Cleanup(bare.Close)
+	p1, p2 := straddle(t, gaz)
+	for _, p := range []geo.Point{p1, p2} {
+		if m, b := getReverse(t, memo.URL, p.Lat, p.Lon), getReverse(t, bare.URL, p.Lat, p.Lon); m != b {
+			t.Fatalf("point (%v, %v):\nmemo: %s\nbare: %s", p.Lat, p.Lon, m, b)
 		}
 	}
 }

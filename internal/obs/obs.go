@@ -311,6 +311,16 @@ func (r *Registry) Histogram(name string, bounds []float64, kv ...string) *Histo
 // calling fn at snapshot time. Replacement makes re-registration after a
 // component rebuild idempotent.
 func (r *Registry) GaugeFunc(name string, fn func() float64, kv ...string) {
+	r.registerFunc(name, KindGauge, fn, kv)
+}
+
+// CounterFunc is GaugeFunc for a count kept elsewhere that only grows: the
+// series is exposed with kind counter.
+func (r *Registry) CounterFunc(name string, fn func() float64, kv ...string) {
+	r.registerFunc(name, KindCounter, fn, kv)
+}
+
+func (r *Registry) registerFunc(name, kind string, fn func() float64, kv []string) {
 	r = r.or()
 	if r.discard || fn == nil {
 		return
@@ -318,7 +328,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, kv ...string) {
 	key := seriesKey(name, kv)
 	r.mu.Lock()
 	r.entries[key] = &entry{
-		name: name, kind: KindGauge, labels: append([]string(nil), kv...), fn: fn,
+		name: name, kind: kind, labels: append([]string(nil), kv...), fn: fn,
 	}
 	r.mu.Unlock()
 }

@@ -127,6 +127,24 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var n int64 = 3
+	r.CounterFunc("pulled_total", func() float64 { return float64(n) }, "shard", "0")
+	n = 5
+	m, ok := r.Snapshot().Get("pulled_total", "shard", "0")
+	if !ok || m.Kind != KindCounter || m.Value != 5 {
+		t.Fatalf("counter func = %+v ok=%v, want a counter reading 5", m, ok)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "# TYPE pulled_total counter\npulled_total{shard=\"0\"} 5\n") {
+		t.Fatalf("exposition:\n%s", b.String())
+	}
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests_total", "route", "/a", "class", "2xx").Add(3)

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"stir/internal/admin"
@@ -78,10 +77,6 @@ type Pipeline struct {
 	// ablation for the paper's choice to split metropolitan cities into gu
 	// ("these cities are too large and the populations are extremely high").
 	StateLevel bool
-	// Parallelism is the number of worker goroutines processing users
-	// (default 1: sequential). The output is identical at any setting —
-	// users are processed independently and results are re-sorted by ID.
-	Parallelism int
 	// ContinueOnError runs the pipeline in degraded mode: a user whose
 	// processing fails (e.g. geocode errors that outlive the client's
 	// retries) is skipped and recorded in Result.SkippedUsers and the
@@ -149,7 +144,7 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 	observe("pipeline.count", start)
 	dcount.End()
 
-	// Deterministic order regardless of map iteration and worker count.
+	// Deterministic order regardless of map iteration.
 	ids := make([]twitter.UserID, 0, len(users))
 	for id := range users {
 		ids = append(ids, id)
@@ -166,84 +161,19 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 	skippable := func(err error) bool {
 		return p.ContinueOnError && ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 	}
-	skip := func(id twitter.UserID, mu *sync.Mutex) {
-		if mu != nil {
-			mu.Lock()
-			defer mu.Unlock()
+	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		res.Funnel.SkippedUsers++
-		res.SkippedUsers = append(res.SkippedUsers, id)
-		mSkipped.Inc()
-	}
-	workers := p.Parallelism
-	if workers <= 1 {
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
+		if err := p.processUser(uctx, users[id], tweets[id], minGeo, res); err != nil {
+			if !skippable(err) {
 				return nil, err
 			}
-			if err := p.processUser(uctx, users[id], tweets[id], minGeo, res, nil); err != nil {
-				if skippable(err) {
-					skip(id, nil)
-					continue
-				}
-				return nil, err
-			}
+			res.Funnel.SkippedUsers++
+			res.SkippedUsers = append(res.SkippedUsers, id)
+			mSkipped.Inc()
 		}
-	} else {
-		var (
-			mu      sync.Mutex
-			wg      sync.WaitGroup
-			jobs    = make(chan twitter.UserID)
-			stop    = make(chan struct{})
-			errOnce sync.Once
-			runErr  error
-		)
-		fail := func(err error) {
-			errOnce.Do(func() {
-				runErr = err
-				close(stop)
-			})
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for id := range jobs {
-					if err := p.processUser(uctx, users[id], tweets[id], minGeo, res, &mu); err != nil {
-						if skippable(err) {
-							skip(id, &mu)
-							continue
-						}
-						fail(err)
-					}
-				}
-			}()
-		}
-		// Dispatch until done or the first failure: once a worker fails, the
-		// stop channel unblocks the send so remaining IDs are never fed to a
-		// run that is already doomed.
-	dispatch:
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
-				fail(err)
-				break
-			}
-			select {
-			case jobs <- id:
-			case <-stop:
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		if runErr != nil {
-			return nil, runErr
-		}
-		sort.Slice(res.Groupings, func(i, j int) bool {
-			return res.Groupings[i].UserID < res.Groupings[j].UserID
-		})
 	}
-	sort.Slice(res.SkippedUsers, func(i, j int) bool { return res.SkippedUsers[i] < res.SkippedUsers[j] })
 	observe("pipeline.users", start)
 	dusers.End()
 	start = time.Now()
@@ -264,42 +194,28 @@ func (p *Pipeline) Run(ctx context.Context, users map[twitter.UserID]*twitter.Us
 	return res, nil
 }
 
-// processUser runs one user through refine → geocode → group, appending to
-// res under mu (nil mu means single-threaded).
-func (p *Pipeline) processUser(ctx context.Context, u *twitter.User, userTweets []*twitter.Tweet, minGeo int, res *Result, mu *sync.Mutex) error {
-	lock := func() {
-		if mu != nil {
-			mu.Lock()
-		}
+// processUser runs one user through refine → geocode → group, counting
+// every attrition step into res.Funnel.
+func (p *Pipeline) processUser(ctx context.Context, u *twitter.User, userTweets []*twitter.Tweet, minGeo int, res *Result) error {
+	f := &res.Funnel
+	profile, q, ok, err := geocode.RefineProfile(ctx, u.ProfileLocation, p.Refiner, p.Resolver, p.Gazetteer)
+	if u.ProfileLocation == "" {
+		f.EmptyProfiles++
+	} else {
+		f.ProfileBreakdown[q]++
 	}
-	unlock := func() {
-		if mu != nil {
-			mu.Unlock()
-		}
-	}
-	// Refinement touches only funnel counters; do the classification outside
-	// the lock and the counting inside.
-	var local Funnel
-	local.ProfileBreakdown = make(map[textnorm.Quality]int)
-	profile, ok, err := p.refineProfile(ctx, u, &local)
-	lock()
-	mergeFunnel(&res.Funnel, &local)
-	unlock()
 	if err != nil {
-		return err
+		return fmt.Errorf("pipeline: geocode profile of %d: %w", u.ID, err)
 	}
 	if !ok {
+		if q == textnorm.GPSCoordinates {
+			f.GeocodeFailures++
+		}
 		return nil
 	}
-	lock()
-	res.Funnel.WellDefinedUsers++
-	unlock()
+	f.WellDefinedUsers++
 
-	var geoFunnel Funnel
-	places, geoCount, err := p.geocodeTweets(ctx, userTweets, &geoFunnel)
-	lock()
-	res.Funnel.GeocodeFailures += geoFunnel.GeocodeFailures
-	unlock()
+	places, geoCount, err := p.geocodeTweets(ctx, userTweets, f)
 	if err != nil {
 		return err
 	}
@@ -313,58 +229,11 @@ func (p *Pipeline) processUser(ctx context.Context, u *twitter.User, userTweets 
 			places[i].County = places[i].State
 		}
 	}
-	g := core.BuildUserGrouping(int64(u.ID), profilePlace, places)
-	lock()
-	res.Funnel.FinalUsers++
-	res.Funnel.FinalGeoTweets += geoCount
+	f.FinalUsers++
+	f.FinalGeoTweets += geoCount
 	res.ProfileDistrict[u.ID] = profile
-	res.Groupings = append(res.Groupings, g)
-	unlock()
+	res.Groupings = append(res.Groupings, core.BuildUserGrouping(int64(u.ID), profilePlace, places))
 	return nil
-}
-
-// mergeFunnel folds per-user refinement counters into the shared funnel.
-func mergeFunnel(dst, src *Funnel) {
-	dst.EmptyProfiles += src.EmptyProfiles
-	dst.GeocodeFailures += src.GeocodeFailures
-	for q, n := range src.ProfileBreakdown {
-		dst.ProfileBreakdown[q] += n
-	}
-}
-
-// refineProfile classifies one profile, resolving GPS-in-profile through the
-// geocoder. Returns the district and whether the user survives. A resolver
-// infrastructure error (anything but ErrNoMatch) is returned rather than
-// counted as attrition, so degraded runs record the user as skipped instead
-// of silently misfiling a fault as a bad profile.
-func (p *Pipeline) refineProfile(ctx context.Context, u *twitter.User, f *Funnel) (*admin.District, bool, error) {
-	if u.ProfileLocation == "" {
-		f.EmptyProfiles++
-		return nil, false, nil
-	}
-	cls := p.Refiner.Classify(u.ProfileLocation)
-	f.ProfileBreakdown[cls.Quality]++
-	switch cls.Quality {
-	case textnorm.WellDefined:
-		return cls.District, true, nil
-	case textnorm.GPSCoordinates:
-		loc, err := p.Resolver.Reverse(ctx, *cls.Point)
-		if err != nil {
-			if errors.Is(err, geocode.ErrNoMatch) {
-				f.GeocodeFailures++
-				return nil, false, nil
-			}
-			return nil, false, fmt.Errorf("pipeline: geocode profile of %d: %w", u.ID, err)
-		}
-		d, err := p.districtOf(loc)
-		if err != nil {
-			f.GeocodeFailures++
-			return nil, false, nil
-		}
-		return d, true, nil
-	default:
-		return nil, false, nil
-	}
 }
 
 // geocodeTweets maps each GPS tweet to a Place.
@@ -390,15 +259,6 @@ func (p *Pipeline) geocodeTweets(ctx context.Context, ts []*twitter.Tweet, f *Fu
 		count++
 	}
 	return places, count, nil
-}
-
-// districtOf maps a geocode response to the gazetteer district.
-func (p *Pipeline) districtOf(loc geocode.Location) (*admin.District, error) {
-	ds := p.Gazetteer.ResolveNameInState(loc.County, loc.State)
-	if len(ds) == 1 {
-		return ds[0], nil
-	}
-	return nil, fmt.Errorf("pipeline: no unique district for %s/%s", loc.State, loc.County)
 }
 
 // CollectFromService snapshots a whole simulated platform into the maps Run

@@ -227,65 +227,15 @@ func TestCollectFromService(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential verifies worker count never changes output.
-func TestParallelMatchesSequential(t *testing.T) {
-	gaz := koreaGaz(t)
-	cfg := synth.KoreanConfig(55, 1500, gaz)
-	gen, err := synth.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := twitter.NewService()
-	if _, err := gen.Populate(svc); err != nil {
-		t.Fatal(err)
-	}
-	users, tweets := CollectFromService(svc)
-
-	run := func(workers int) *Result {
-		p := New(gaz, 10)
-		p.Parallelism = workers
-		res, err := p.Run(context.Background(), users, tweets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	for _, workers := range []int{2, 8} {
-		par := run(workers)
-		if len(par.Groupings) != len(seq.Groupings) {
-			t.Fatalf("workers=%d: %d groupings vs %d", workers, len(par.Groupings), len(seq.Groupings))
-		}
-		for i := range seq.Groupings {
-			a, b := seq.Groupings[i], par.Groupings[i]
-			if a.UserID != b.UserID || a.Group != b.Group || a.TotalTweets != b.TotalTweets {
-				t.Fatalf("workers=%d: grouping %d differs: %+v vs %+v", workers, i, a, b)
-			}
-		}
-		if par.Funnel.FinalUsers != seq.Funnel.FinalUsers ||
-			par.Funnel.WellDefinedUsers != seq.Funnel.WellDefinedUsers ||
-			par.Funnel.EmptyProfiles != seq.Funnel.EmptyProfiles {
-			t.Fatalf("workers=%d: funnel differs: %+v vs %+v", workers, par.Funnel, seq.Funnel)
-		}
-		for q, n := range seq.Funnel.ProfileBreakdown {
-			if par.Funnel.ProfileBreakdown[q] != n {
-				t.Fatalf("workers=%d: breakdown[%v] = %d vs %d", workers, q, par.Funnel.ProfileBreakdown[q], n)
-			}
-		}
-		if par.Analysis.OverallMatchShare != seq.Analysis.OverallMatchShare {
-			t.Fatalf("workers=%d: match share differs", workers)
-		}
-	}
-}
-
+// TestParallelCancellation: a run whose context is already cancelled
+// errors instead of returning a result.
 func TestParallelCancellation(t *testing.T) {
 	gaz := koreaGaz(t)
 	users, tweets := handBuilt(t, gaz)
 	p := New(gaz, 10)
-	p.Parallelism = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.Run(ctx, users, tweets); err == nil {
-		t.Fatal("cancelled parallel run should error")
+		t.Fatal("cancelled run should error")
 	}
 }

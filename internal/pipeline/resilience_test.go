@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"stir/internal/admin"
 	"stir/internal/geo"
@@ -15,26 +13,15 @@ import (
 	"stir/internal/twitter"
 )
 
-// failingResolver fails any point at failLat and optionally slows the rest,
-// counting every call.
+// failingResolver fails any point at failLat.
 type failingResolver struct {
 	next    geocode.Resolver
 	failLat float64
-	slow    time.Duration
-	calls   atomic.Int64
 }
 
 func (r *failingResolver) Reverse(ctx context.Context, p geo.Point) (geocode.Location, error) {
-	r.calls.Add(1)
 	if p.Lat == r.failLat {
 		return geocode.Location{}, errors.New("resolver infrastructure down")
-	}
-	if r.slow > 0 {
-		select {
-		case <-ctx.Done():
-			return geocode.Location{}, ctx.Err()
-		case <-time.After(r.slow):
-		}
 	}
 	return r.next.Reverse(ctx, p)
 }
@@ -99,69 +86,5 @@ func TestContinueOnErrorSkipsFailingUser(t *testing.T) {
 	}
 	if m, ok := reg.Snapshot().Get(FunnelMetric, "stage", "skipped_users"); !ok || m.Value != 1 {
 		t.Fatalf("funnel gauge skipped_users = %+v ok=%v, want 1", m, ok)
-	}
-}
-
-// Degraded parallel runs must match the sequential run exactly — same skips,
-// same groupings — regardless of worker count.
-func TestContinueOnErrorParallelMatchesSequential(t *testing.T) {
-	gaz := koreaGaz(t)
-	users, tweets, badID, badLat := poisonedDataset(t, gaz, 24)
-
-	run := func(workers int) *Result {
-		p := New(gaz, 10)
-		p.Obs = obs.Discard
-		p.ContinueOnError = true
-		p.Parallelism = workers
-		p.Resolver = &failingResolver{next: p.Resolver, failLat: badLat}
-		res, err := p.Run(context.Background(), users, tweets)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	seq := run(1)
-	par := run(8)
-	if len(seq.SkippedUsers) != 1 || seq.SkippedUsers[0] != badID {
-		t.Fatalf("sequential SkippedUsers = %v", seq.SkippedUsers)
-	}
-	if len(par.SkippedUsers) != len(seq.SkippedUsers) || par.SkippedUsers[0] != seq.SkippedUsers[0] {
-		t.Fatalf("parallel SkippedUsers = %v, want %v", par.SkippedUsers, seq.SkippedUsers)
-	}
-	if len(par.Groupings) != len(seq.Groupings) {
-		t.Fatalf("parallel groupings = %d, sequential = %d", len(par.Groupings), len(seq.Groupings))
-	}
-	for i := range par.Groupings {
-		if par.Groupings[i].UserID != seq.Groupings[i].UserID {
-			t.Fatalf("grouping %d: parallel user %d vs sequential %d", i, par.Groupings[i].UserID, seq.Groupings[i].UserID)
-		}
-	}
-	if par.Funnel.FinalUsers != seq.Funnel.FinalUsers || par.Funnel.SkippedUsers != seq.Funnel.SkippedUsers {
-		t.Fatalf("funnels diverge: parallel %+v sequential %+v", par.Funnel, seq.Funnel)
-	}
-}
-
-// In strict parallel mode the dispatcher must stop feeding users once a
-// worker has failed, instead of marching the whole ID list through a doomed
-// run.
-func TestParallelDispatchStopsAfterFailure(t *testing.T) {
-	gaz := koreaGaz(t)
-	const n = 200
-	users, tweets, _, badLat := poisonedDataset(t, gaz, n)
-
-	fr := &failingResolver{failLat: badLat, slow: 2 * time.Millisecond}
-	p := New(gaz, 10)
-	p.Obs = obs.Discard
-	p.Parallelism = 4
-	fr.next = p.Resolver
-	p.Resolver = fr
-	if _, err := p.Run(context.Background(), users, tweets); err == nil {
-		t.Fatal("strict parallel run must fail")
-	}
-	// The poisoned user is the first dispatched and fails immediately while
-	// every healthy resolve takes 2ms; a cancelled dispatcher strands most
-	// of the 200 IDs. Without the stop channel all 200 are resolved.
-	if calls := fr.calls.Load(); calls >= n {
-		t.Fatalf("resolver saw %d calls; dispatcher kept feeding after failure", calls)
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // Checkpoint layout in the store:
 //
-//	stream/meta               engine-level counters (JSON ckptMeta)
+//	stream/meta               the Ledger and the feeder cursor (JSON ckptMeta)
 //	stream/user/<id>          one grouped user's multiset (JSON userRec)
 //	stream/rejected/<id>      profile-refinement rejection marker
 //
@@ -48,8 +48,8 @@ func isDiskFull(err error) bool {
 
 // ckptMeta is the engine-level checkpoint record.
 type ckptMeta struct {
-	Version  int              `json:"version"`
-	Counters restoredCounters `json:"counters"`
+	Version  int    `json:"version"`
+	Counters Ledger `json:"counters"`
 	// Cursor is the feeder's opaque source position covered by this
 	// checkpoint (see Engine.SetCursor). Absent on pre-cluster checkpoints,
 	// which simply means "replay from the beginning".
@@ -196,13 +196,7 @@ func (e *Engine) Checkpoint() error {
 			}
 			delete(sh.dirty, id)
 		}
-		meta.Counters.Processed += sh.processed
-		meta.Counters.NonGeo += sh.nonGeo
-		meta.Counters.GeocodeFail += sh.geocodeFail
-		meta.Counters.ProfileErr += sh.profileErr
-		meta.Counters.ResolveErr += sh.resolveErr
-		meta.Counters.Duplicates += sh.duplicates
-		meta.Counters.Dropped += sh.drops.Load()
+		meta.Counters.Add(sh.ledger())
 		sh.mu.Unlock()
 		takenSets = append(takenSets, taken{sh: sh, ids: ids})
 	}
@@ -236,7 +230,6 @@ func (e *Engine) Checkpoint() error {
 	e.durableCursor = meta.Cursor
 	e.curMu.Unlock()
 	e.checkpoints.Add(1)
-	e.reg.Counter("stream_checkpoints_total").Inc()
 	e.reg.Histogram("stream_checkpoint_seconds", obs.DefBuckets).ObserveDuration(time.Since(start))
 	if dspan != nil {
 		dirty := 0

@@ -43,8 +43,8 @@ func TestCheckpointDefersOnDiskFullAndHeals(t *testing.T) {
 	if err := eng.Checkpoint(); !vfs.IsNoSpace(err) {
 		t.Fatalf("checkpoint on full disk: err = %v, want ErrNoSpace", err)
 	}
-	if got := reg.Counter("stream_checkpoint_deferred_total").Value(); got != 1 {
-		t.Fatalf("stream_checkpoint_deferred_total = %v, want 1", got)
+	if m, _ := reg.Snapshot().Get("stream_checkpoint_deferred_total"); m.Kind != obs.KindCounter || m.Value != 1 {
+		t.Fatalf("stream_checkpoint_deferred_total = %+v, want a counter at 1", m)
 	}
 	if got := eng.Stats().CheckpointsDeferred; got != 1 {
 		t.Fatalf("Stats().CheckpointsDeferred = %d, want 1", got)

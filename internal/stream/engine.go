@@ -121,16 +121,12 @@ type shard struct {
 	rejected map[twitter.UserID]bool
 	dirty    map[twitter.UserID]bool // changed since last checkpoint
 
-	// Funnel counters, guarded by mu (drops is atomic: Ingest writes it
-	// from outside the worker).
-	processed      int64
-	nonGeo         int64
-	geocodeFail    int64
-	profileErr     int64
-	resolveErr     int64
-	duplicates     int64
-	rejectedTweets int64
-	drops          atomic.Int64
+	// led counts this session's outcomes, guarded by mu; its Dropped stays
+	// zero. Ingest writes ingested and drops from outside the worker, so
+	// those are atomic.
+	led      Ledger
+	ingested atomic.Int64
+	drops    atomic.Int64
 
 	// parts[p] is the §IV fold over the shard's grouped users in hash
 	// partition p of len(parts) (PartitionOf), kept current per tweet:
@@ -138,6 +134,14 @@ type shard struct {
 	// materialising the users. There is one part until a partitioned read
 	// (PartitionSummaries) asks for more.
 	parts []core.Summary
+}
+
+// ledger is the shard's session account, its drops included. Callers hold
+// sh.mu.
+func (sh *shard) ledger() Ledger {
+	l := sh.led
+	l.Dropped = sh.drops.Load()
+	return l
 }
 
 // retally moves user id's term in the summary of the user's partition: old
@@ -189,7 +193,6 @@ type Engine struct {
 	disconnects atomic.Int64
 	connectFail atomic.Int64
 	checkpoints atomic.Int64
-	ingested    atomic.Int64
 
 	// Disk-pressure state: ckptStalled is set while checkpoints are being
 	// deferred on ErrNoSpace/ErrReadOnly and cleared by the next one that
@@ -198,23 +201,14 @@ type Engine struct {
 	ckptStalled atomic.Bool
 	deferrals   atomic.Int64
 
-	// Counters restored from a checkpoint, folded into Stats.
-	restored restoredCounters
+	// The outcomes restored from a checkpoint, folded into Stats and the
+	// next checkpoint.
+	restored Ledger
 
-	mIngested        []*obs.Counter
-	mDropped         []*obs.Counter
+	mProfileRejected *obs.Counter
+	mBackpressure    *obs.Counter
 	mSnapshotStage   *obs.Histogram
 	mCheckpointStage *obs.Histogram
-}
-
-type restoredCounters struct {
-	Processed   int64 `json:"processed"`
-	NonGeo      int64 `json:"non_geo"`
-	GeocodeFail int64 `json:"geocode_failures"`
-	ProfileErr  int64 `json:"profile_errors"`
-	ResolveErr  int64 `json:"resolve_errors"`
-	Duplicates  int64 `json:"duplicates"`
-	Dropped     int64 `json:"dropped"`
 }
 
 // New builds an engine, loads any checkpoint present in cfg.Store, registers
@@ -237,14 +231,16 @@ func New(cfg Config) (*Engine, error) {
 		cfg:  cfg,
 		reg:  reg,
 		done: make(chan struct{}),
+		// Push counters with no Stats field behind them, resolved once so
+		// the per-tweet path makes no registry call.
+		mProfileRejected: reg.Counter("stream_profile_rejected_total"),
+		mBackpressure:    reg.Counter("stream_ingest_backpressure_total"),
 		// One stir_stage_seconds observation per Snapshot and Checkpoint.
 		mSnapshotStage:   reg.Histogram(obs.StageHistogram, obs.DefBuckets, "stage", "stream_snapshot"),
 		mCheckpointStage: reg.Histogram(obs.StageHistogram, obs.DefBuckets, "stage", "stream_checkpoint"),
 	}
 	e.ctx, e.cancel = context.WithCancel(context.Background())
 	e.shards = make([]*shard, cfg.Shards)
-	e.mIngested = make([]*obs.Counter, cfg.Shards)
-	e.mDropped = make([]*obs.Counter, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			id:       i,
@@ -254,9 +250,6 @@ func New(cfg Config) (*Engine, error) {
 			dirty:    make(map[twitter.UserID]bool),
 			parts:    make([]core.Summary, 1),
 		}
-		lbl := strconv.Itoa(i)
-		e.mIngested[i] = reg.Counter("stream_ingested_total", "shard", lbl)
-		e.mDropped[i] = reg.Counter("stream_dropped_total", "shard", lbl)
 	}
 	if cfg.Store != nil {
 		if err := e.loadCheckpoint(); err != nil {
@@ -271,8 +264,48 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// registerGauges publishes pull-mode views of live state.
+// ledgerSeries are the stream_*_total series read from the shards'
+// ledgers: this session's tweets, checkpoint-restored totals excluded.
+var ledgerSeries = []struct {
+	name    string
+	outcome func(Ledger) int64
+}{
+	{"stream_processed_total", func(l Ledger) int64 { return l.Processed }},
+	{"stream_nongeo_total", func(l Ledger) int64 { return l.NonGeo }},
+	{"stream_geocode_failures_total", func(l Ledger) int64 { return l.GeocodeFailures }},
+	{"stream_profile_errors_total", func(l Ledger) int64 { return l.ProfileErrors }},
+	{"stream_resolve_errors_total", func(l Ledger) int64 { return l.ResolveErrors }},
+	{"stream_duplicates_total", func(l Ledger) int64 { return l.Duplicates }},
+}
+
+// registerGauges publishes pull-mode views of live state, of the shards'
+// ledgers and of the connection and checkpoint counts behind Stats.
 func (e *Engine) registerGauges() {
+	for _, c := range []struct {
+		name string
+		n    *atomic.Int64
+	}{
+		{"stream_reconnects_total", &e.reconnects},
+		{"stream_disconnects_total", &e.disconnects},
+		{"stream_connect_failures_total", &e.connectFail},
+		{"stream_checkpoints_total", &e.checkpoints},
+		{"stream_checkpoint_deferred_total", &e.deferrals},
+	} {
+		n := c.n
+		e.reg.CounterFunc(c.name, func() float64 { return float64(n.Load()) })
+	}
+	for _, ls := range ledgerSeries {
+		outcome := ls.outcome
+		e.reg.CounterFunc(ls.name, func() float64 {
+			var l Ledger
+			for _, sh := range e.shards {
+				sh.mu.Lock()
+				l.Add(sh.led)
+				sh.mu.Unlock()
+			}
+			return float64(outcome(l))
+		})
+	}
 	e.reg.GaugeFunc("stream_users", func() float64 {
 		n := 0
 		for _, sh := range e.shards {
@@ -291,9 +324,16 @@ func (e *Engine) registerGauges() {
 	}
 	for _, sh := range e.shards {
 		sh := sh
+		lbl := strconv.Itoa(sh.id)
 		e.reg.GaugeFunc("stream_queue_depth", func() float64 {
 			return float64(len(sh.ch))
-		}, "shard", strconv.Itoa(sh.id))
+		}, "shard", lbl)
+		e.reg.CounterFunc("stream_ingested_total", func() float64 {
+			return float64(sh.ingested.Load())
+		}, "shard", lbl)
+		e.reg.CounterFunc("stream_dropped_total", func() float64 {
+			return float64(sh.drops.Load())
+		}, "shard", lbl)
 	}
 }
 
@@ -326,10 +366,9 @@ func (e *Engine) Ingest(t *twitter.Tweet) bool {
 		// Checkpoints are deferred on a full disk and the memory-only
 		// window is exhausted: shed (DropWhenFull) or hold the reader back
 		// until a checkpoint lands and shrinks the dirty set.
-		e.reg.Counter("stream_ingest_backpressure_total").Inc()
+		e.mBackpressure.Inc()
 		if e.cfg.DropWhenFull {
 			sh.drops.Add(1)
-			e.mDropped[sh.id].Inc()
 			return false
 		}
 		for e.CheckpointStalled() {
@@ -344,21 +383,18 @@ func (e *Engine) Ingest(t *twitter.Tweet) bool {
 	if e.cfg.DropWhenFull {
 		select {
 		case sh.ch <- msg:
-			e.ingested.Add(1)
-			e.mIngested[sh.id].Inc()
+			sh.ingested.Add(1)
 			return true
 		case <-e.done:
 			return false
 		default:
 			sh.drops.Add(1)
-			e.mDropped[sh.id].Inc()
 			return false
 		}
 	}
 	select {
 	case sh.ch <- msg:
-		e.ingested.Add(1)
-		e.mIngested[sh.id].Inc()
+		sh.ingested.Add(1)
 		return true
 	case <-e.done:
 		return false
@@ -397,7 +433,13 @@ func (e *Engine) DurableCursor() string {
 // into a best-effort firehose use it for flow control: the sample stream
 // sheds when the subscriber lags, so a replay that outruns this counter is
 // losing tweets upstream of the engine.
-func (e *Engine) Ingested() int64 { return e.ingested.Load() }
+func (e *Engine) Ingested() int64 {
+	var n int64
+	for _, sh := range e.shards {
+		n += sh.ingested.Load()
+	}
+	return n
+}
 
 // DirtyUsers counts users whose state changed since the last committed
 // checkpoint — the replay window a crash right now would cost, and the
@@ -439,7 +481,6 @@ func (e *Engine) Degraded() bool {
 func (e *Engine) noteDeferred() {
 	e.ckptStalled.Store(true)
 	e.deferrals.Add(1)
-	e.reg.Counter("stream_checkpoint_deferred_total").Inc()
 }
 
 func (e *Engine) worker(sh *shard) {
@@ -465,12 +506,11 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if !t.HasGeo() {
-		sh.nonGeo++
-		e.reg.Counter("stream_nongeo_total").Inc()
+		sh.led.NonGeo++
 		return
 	}
 	if sh.rejected[t.UserID] {
-		sh.rejectedTweets++
+		sh.led.RejectedTweets++
 		return
 	}
 	st := sh.users[t.UserID]
@@ -486,8 +526,7 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		place, ok, err := e.cfg.Profiles(pctx, t.UserID)
 		if err != nil {
 			// Transient: leave the user unknown so their next tweet retries.
-			sh.profileErr++
-			e.reg.Counter("stream_profile_errors_total").Inc()
+			sh.led.ProfileErrors++
 			if sp != nil {
 				sp.Annotate("outcome", "error")
 				sp.Annotate("error", err.Error())
@@ -497,9 +536,9 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		}
 		if !ok {
 			sh.rejected[t.UserID] = true
-			sh.rejectedTweets++
+			sh.led.RejectedTweets++
 			sh.dirty[t.UserID] = true
-			e.reg.Counter("stream_profile_rejected_total").Inc()
+			e.mProfileRejected.Inc()
 			sp.Annotate("outcome", "rejected")
 			sp.End()
 			return
@@ -510,18 +549,15 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 		sh.users[t.UserID] = st
 	}
 	if e.cfg.DedupByTweetID && int64(t.ID) <= st.lastID {
-		sh.duplicates++
-		e.reg.Counter("stream_duplicates_total").Inc()
+		sh.led.Duplicates++
 		return
 	}
 	loc, err := e.cfg.Resolver.Reverse(e.ctx, geo.Point{Lat: t.Geo.Lat, Lon: t.Geo.Lon})
 	if err != nil {
 		if errors.Is(err, geocode.ErrNoMatch) {
-			sh.geocodeFail++
-			e.reg.Counter("stream_geocode_failures_total").Inc()
+			sh.led.GeocodeFailures++
 		} else {
-			sh.resolveErr++
-			e.reg.Counter("stream_resolve_errors_total").Inc()
+			sh.led.ResolveErrors++
 		}
 		return
 	}
@@ -529,9 +565,8 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 	st.observe(core.Place{State: loc.State, County: loc.County})
 	st.lastID = int64(t.ID)
 	sh.retally(t.UserID, old, st.term())
-	sh.processed++
+	sh.led.Processed++
 	sh.dirty[t.UserID] = true
-	e.reg.Counter("stream_processed_total").Inc()
 }
 
 // Drain blocks until every tweet enqueued before the call has been
@@ -662,14 +697,12 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 				// The connection worked; a drop after traffic reconnects
 				// with fresh backoff rather than consuming attempts.
 				e.disconnects.Add(1)
-				e.reg.Counter("stream_disconnects_total").Inc()
 				return nil
 			}
 			if serr == nil {
 				serr = resilience.MarkTransient(errEmptyStream)
 			}
 			e.connectFail.Add(1)
-			e.reg.Counter("stream_connect_failures_total").Inc()
 			return serr
 		})
 		if err != nil {
@@ -682,7 +715,6 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 			return nil
 		}
 		e.reconnects.Add(1)
-		e.reg.Counter("stream_reconnects_total").Inc()
 	}
 }
 
@@ -698,26 +730,46 @@ func (s *ClientSource) Stream(ctx context.Context, fn func(*twitter.Tweet) bool)
 	return s.Client.Stream(ctx, s.Track, fn)
 }
 
-// Stats is the engine's funnel and connection accounting. Once drained,
-// every tweet ingested since New lands in exactly one of Processed, NonGeo,
-// GeocodeFailures, ResolveErrors, ProfileErrors, Duplicates and
-// RejectedTweets (tweets of users profile refinement rejected, the
-// rejecting tweet included); the first six also carry totals restored from
-// a checkpoint. RejectedTweets, like Ingested, starts from zero at New: the
-// checkpoint carries no such counter.
+// Ledger is the engine's account of tweets, the stream side of the batch
+// funnel. Once the engine drains, every tweet offered to Ingest is counted
+// in exactly one outcome: Dropped (shed before a shard queue), or accepted
+// and then Processed, NonGeo, GeocodeFailures, ProfileErrors,
+// ResolveErrors, Duplicates or RejectedTweets (tweets of users profile
+// refinement rejected, the rejecting tweet included). Shards, checkpoints,
+// Stats and the cluster router's sums all keep this one type.
+type Ledger struct {
+	Processed       int64 `json:"processed"`
+	NonGeo          int64 `json:"non_geo"`
+	GeocodeFailures int64 `json:"geocode_failures"`
+	ProfileErrors   int64 `json:"profile_errors"`
+	ResolveErrors   int64 `json:"resolve_errors"`
+	Duplicates      int64 `json:"duplicates"`
+	RejectedTweets  int64 `json:"rejected_tweets"`
+	Dropped         int64 `json:"dropped"`
+}
+
+// Add adds o's counts to l.
+func (l *Ledger) Add(o Ledger) {
+	l.Processed += o.Processed
+	l.NonGeo += o.NonGeo
+	l.GeocodeFailures += o.GeocodeFailures
+	l.ProfileErrors += o.ProfileErrors
+	l.ResolveErrors += o.ResolveErrors
+	l.Duplicates += o.Duplicates
+	l.RejectedTweets += o.RejectedTweets
+	l.Dropped += o.Dropped
+}
+
+// Stats is the engine's funnel and connection accounting. The Ledger
+// carries the totals restored from a checkpoint, rejected tweets included;
+// Ingested and PerShardDropped start from zero at New. So on an engine that
+// restored nothing, once drained, Ingested = Σ Ledger outcomes − Dropped.
 type Stats struct {
-	Shards          int     `json:"shards"`
-	Users           int     `json:"users"`
-	RejectedUsers   int     `json:"rejected_users"`
-	Ingested        int64   `json:"ingested"`
-	Processed       int64   `json:"processed"`
-	NonGeo          int64   `json:"non_geo"`
-	GeocodeFailures int64   `json:"geocode_failures"`
-	ProfileErrors   int64   `json:"profile_errors"`
-	ResolveErrors   int64   `json:"resolve_errors"`
-	Duplicates      int64   `json:"duplicates"`
-	RejectedTweets  int64   `json:"rejected_tweets"`
-	Dropped         int64   `json:"dropped"`
+	Shards        int   `json:"shards"`
+	Users         int   `json:"users"`
+	RejectedUsers int   `json:"rejected_users"`
+	Ingested      int64 `json:"ingested"`
+	Ledger
 	PerShardDropped []int64 `json:"per_shard_dropped"`
 	Reconnects      int64   `json:"reconnects"`
 	Disconnects     int64   `json:"disconnects"`
@@ -737,15 +789,8 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Shards:          len(e.shards),
+		Ledger:          e.restored,
 		PerShardDropped: make([]int64, len(e.shards)),
-		Ingested:        e.ingested.Load(),
-		Processed:       e.restored.Processed,
-		NonGeo:          e.restored.NonGeo,
-		GeocodeFailures: e.restored.GeocodeFail,
-		ProfileErrors:   e.restored.ProfileErr,
-		ResolveErrors:   e.restored.ResolveErr,
-		Duplicates:      e.restored.Duplicates,
-		Dropped:         e.restored.Dropped,
 		Reconnects:      e.reconnects.Load(),
 		Disconnects:     e.disconnects.Load(),
 		ConnectFailures: e.connectFail.Load(),
@@ -759,17 +804,11 @@ func (e *Engine) Stats() Stats {
 		sh.mu.Lock()
 		s.Users += len(sh.users)
 		s.RejectedUsers += len(sh.rejected)
-		s.Processed += sh.processed
-		s.NonGeo += sh.nonGeo
-		s.GeocodeFailures += sh.geocodeFail
-		s.ProfileErrors += sh.profileErr
-		s.ResolveErrors += sh.resolveErr
-		s.Duplicates += sh.duplicates
-		s.RejectedTweets += sh.rejectedTweets
+		l := sh.ledger()
 		sh.mu.Unlock()
-		d := sh.drops.Load()
-		s.PerShardDropped[i] = d
-		s.Dropped += d
+		s.Ingested += sh.ingested.Load()
+		s.Add(l)
+		s.PerShardDropped[i] = l.Dropped
 	}
 	return s
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,85 +227,6 @@ func TestRunGivesUpAfterPolicyExhaustion(t *testing.T) {
 type srcFunc func(ctx context.Context, fn func(*twitter.Tweet) bool) error
 
 func (f srcFunc) Stream(ctx context.Context, fn func(*twitter.Tweet) bool) error { return f(ctx, fn) }
-
-// ledgerResolver fails a negative latitude with ErrNoMatch (a geocode
-// failure) and a latitude above 80 with a transport error (a resolve error).
-type ledgerResolver struct{}
-
-func (ledgerResolver) Reverse(ctx context.Context, p geo.Point) (geocode.Location, error) {
-	if p.Lat > 80 {
-		return geocode.Location{}, errors.New("geocoder unreachable")
-	}
-	return echoResolver{}.Reverse(ctx, p)
-}
-
-// TestStatsLedgerAccountsEveryTweet checks the loss ledger: after Drain,
-// with no store and nothing dropped, every ingested tweet is counted in
-// exactly one funnel outcome — including the tweets of profile-rejected
-// users, on the rejecting tweet and every later one.
-func TestStatsLedgerAccountsEveryTweet(t *testing.T) {
-	var mu sync.Mutex
-	failedOnce := map[twitter.UserID]bool{}
-	profiles := func(_ context.Context, id twitter.UserID) (core.Place, bool, error) {
-		switch {
-		case id%5 == 0:
-			return core.Place{}, false, nil // not a well-defined profile
-		case id%7 == 0:
-			mu.Lock()
-			defer mu.Unlock()
-			if !failedOnce[id] {
-				failedOnce[id] = true
-				return core.Place{}, false, errors.New("profile backend down")
-			}
-		}
-		return core.Place{State: "S", County: "C3"}, true, nil
-	}
-	eng, _ := plainEngine(t, func(c *Config) {
-		c.Shards = 3
-		c.Profiles = profiles
-		c.Resolver = ledgerResolver{}
-		c.DedupByTweetID = true
-	})
-	rnd := rand.New(rand.NewSource(9))
-	n := 0
-	for id := int64(1); id <= 4000; id++ {
-		user := int64(1 + rnd.Intn(60))
-		tw := geoTweet(id, user, float64(rnd.Intn(90)-5))
-		switch rnd.Intn(10) {
-		case 0:
-			tw.Geo = nil
-		case 1:
-			tw.ID = twitter.TweetID(id / 2) // a replay of an older ID
-		}
-		if !eng.Ingest(tw) {
-			t.Fatal("Ingest refused a tweet on an open engine")
-		}
-		n++
-	}
-	eng.Drain()
-	st := eng.Stats()
-	if st.Dropped != 0 || st.Ingested != int64(n) {
-		t.Fatalf("ingested %d of %d, dropped %d", st.Ingested, n, st.Dropped)
-	}
-	outcomes := map[string]int64{
-		"processed": st.Processed, "non_geo": st.NonGeo, "geocode_failures": st.GeocodeFailures,
-		"resolve_errors": st.ResolveErrors, "profile_errors": st.ProfileErrors,
-		"duplicates": st.Duplicates, "rejected_tweets": st.RejectedTweets,
-	}
-	var sum int64
-	for name, v := range outcomes {
-		if v == 0 {
-			t.Errorf("workload never produced %s", name)
-		}
-		sum += v
-	}
-	if sum != st.Ingested {
-		t.Fatalf("funnel outcomes sum to %d, ingested %d: %+v", sum, st.Ingested, st)
-	}
-	if st.RejectedUsers == 0 || st.RejectedTweets < int64(st.RejectedUsers) {
-		t.Fatalf("rejected %d users but %d tweets", st.RejectedUsers, st.RejectedTweets)
-	}
-}
 
 // TestAnalysisConcurrentWithIngest reads the summary cut, the group counts
 // and the group gauges while tweets are being applied; once drained, the cut

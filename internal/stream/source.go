@@ -28,46 +28,24 @@ func ClientLookup(c *twitter.Client) UserLookup {
 	}
 }
 
-// NewProfileResolver builds the ProfileFunc mirroring the batch pipeline's
-// refinement (pipeline.refineProfile): empty or meaningless profiles are
-// rejected, well-defined names resolve through the refiner, GPS-in-profile
-// goes through the geocoder and back to a unique gazetteer district. The
-// decisions must match the batch path bit-for-bit — the differential tests
-// depend on it.
+// NewProfileResolver builds the ProfileFunc applying the batch pipeline's
+// refinement rule, geocode.RefineProfile, to each account lookup fetches.
+// An account the platform no longer knows is rejected, like an empty
+// profile; any other lookup or resolver error is transient.
 func NewProfileResolver(lookup UserLookup, refiner *textnorm.Refiner, resolver geocode.Resolver, gaz *admin.Gazetteer) ProfileFunc {
 	return func(ctx context.Context, id twitter.UserID) (core.Place, bool, error) {
 		u, err := lookup(ctx, id)
 		if err != nil {
 			if twitter.IsNotFound(err) || errors.Is(err, twitter.ErrUserNotFound) {
-				// A tweet from an account the platform no longer knows:
-				// permanently unfilterable, like an empty profile.
 				return core.Place{}, false, nil
 			}
 			return core.Place{}, false, err
 		}
-		if u.ProfileLocation == "" {
-			return core.Place{}, false, nil
+		d, _, ok, err := geocode.RefineProfile(ctx, u.ProfileLocation, refiner, resolver, gaz)
+		if !ok {
+			return core.Place{}, false, err
 		}
-		cls := refiner.Classify(u.ProfileLocation)
-		switch cls.Quality {
-		case textnorm.WellDefined:
-			return core.Place{State: cls.District.State, County: cls.District.County}, true, nil
-		case textnorm.GPSCoordinates:
-			loc, err := resolver.Reverse(ctx, *cls.Point)
-			if err != nil {
-				if errors.Is(err, geocode.ErrNoMatch) {
-					return core.Place{}, false, nil
-				}
-				return core.Place{}, false, err
-			}
-			ds := gaz.ResolveNameInState(loc.County, loc.State)
-			if len(ds) != 1 {
-				return core.Place{}, false, nil
-			}
-			return core.Place{State: ds[0].State, County: ds[0].County}, true, nil
-		default:
-			return core.Place{}, false, nil
-		}
+		return core.Place{State: d.State, County: d.County}, true, nil
 	}
 }
 

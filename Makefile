@@ -35,16 +35,16 @@ race:
 verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
 
 # Short coverage-guided fuzzing of the decoders that read wire bytes
-# (geocode XML, the §IV summary's JSON), of the profile-location classifier
-# against its reference and of the §IV summary against Analyze and a
-# math/big sum, one target per line (go test -fuzz takes one target at a
-# time, so each pattern is anchored). Seeds live under each package's
-# testdata/fuzz; a crasher is written there too.
+# (geocode XML, the cluster's binary forward and summaries frames), of the
+# profile-location classifier against its reference and of the §IV summary
+# against Analyze and a math/big sum, one target per line (go test -fuzz
+# takes one target at a time, so each pattern is anchored). Seeds live
+# under each package's testdata/fuzz; a crasher is written there too.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzUnmarshalResultSet$$' -fuzztime 10s ./internal/geocode/
 	$(GO) test -run xxx -fuzz '^FuzzClassify$$' -fuzztime 10s ./internal/textnorm/
 	$(GO) test -run xxx -fuzz '^FuzzSummary$$' -fuzztime 10s ./internal/core/
-	$(GO) test -run xxx -fuzz '^FuzzSummaryJSON$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeUserState$$' -fuzztime 10s ./internal/stream/
 
 # Run the deterministic fault-injection suite (retry/breaker under injected

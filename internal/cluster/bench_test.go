@@ -17,10 +17,10 @@ import (
 )
 
 // Cluster micro-benchmarks: routed ingest throughput and scatter-gather
-// latency at 1, 2 and 4 workers. The routed path pays one JSON round-trip
-// per ForwardBatch, so per-tweet cost is dominated by encoding + loopback
-// HTTP — the point is the scaling shape across worker counts, not the
-// absolute number.
+// latency at 1, 2 and 4 workers. The routed path pays one binary-frame
+// round-trip per ForwardBatch, so per-tweet cost is dominated by encoding
+// and loopback HTTP — the point is the scaling shape across worker counts,
+// not the absolute number.
 
 type benchResolver struct{ places []core.Place }
 

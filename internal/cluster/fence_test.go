@@ -30,7 +30,7 @@ func fenceDo(t testing.TB, method, url string, epoch string, body []byte) int {
 		req.Header.Set(EpochHeader, epoch)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", frameContentType)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestWorkerEpochFence(t *testing.T) {
 	defer w.stop()
 	base := w.srv.URL
 
-	empty := mustJSON(t, ingestRequest{})
+	empty := appendForward(nil, 0, nil)
 	if got := fenceDo(t, http.MethodPost, base+"/cluster/v1/ingest", "5", empty); got != http.StatusOK {
 		t.Fatalf("epoch 5 on a fresh worker: status %d", got)
 	}

@@ -143,7 +143,7 @@ func TestClusterPartitionChaosConverges(t *testing.T) {
 	// never applied.
 	fake := *tweets[0]
 	fake.ID = 1 << 60
-	zombie := mustJSON(t, ingestRequest{Seq: 0, Tweets: []*twitter.Tweet{&fake}})
+	zombie := appendForward(nil, 0, []*twitter.Tweet{&fake})
 	if got := fenceDo(t, http.MethodPost, w1.srv.URL+"/cluster/v1/ingest", FormatSeq(epochBefore), zombie); got != http.StatusPreconditionFailed {
 		t.Fatalf("stale-epoch zombie hop: status %d, want 412", got)
 	}

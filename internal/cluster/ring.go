@@ -39,6 +39,9 @@ type Ring struct {
 	partitions int
 	names      []string // sorted, deduplicated
 	hashes     []uint64 // per-name seed, parallel to names
+	// order holds every partition's members in descending score order,
+	// one row of len(names) per partition, so Owners allocates nothing.
+	order []string
 }
 
 // NewRing builds a ring over the given worker names. Partitions defaults to
@@ -60,6 +63,25 @@ func NewRing(partitions int, names []string) *Ring {
 	r := &Ring{partitions: partitions, names: sorted, hashes: make([]uint64, len(sorted))}
 	for i, n := range sorted {
 		r.hashes[i] = splitmix64(fnv64(n))
+	}
+	m := len(sorted)
+	r.order = make([]string, partitions*m)
+	idx := make([]int, m)
+	for p := 0; p < partitions; p++ {
+		for i := range idx {
+			idx[i] = i
+		}
+		// Ties go to the earlier name; names are sorted, so to the lower index.
+		sort.Slice(idx, func(a, b int) bool {
+			sa, sb := r.score(idx[a], p), r.score(idx[b], p)
+			if sa != sb {
+				return sa > sb
+			}
+			return idx[a] < idx[b]
+		})
+		for k, i := range idx {
+			r.order[p*m+k] = sorted[i]
+		}
 	}
 	return r
 }
@@ -94,35 +116,17 @@ func (r *Ring) score(i, part int) uint64 {
 	return splitmix64(r.hashes[i] ^ splitmix64(uint64(part)+0x51ed270b))
 }
 
-// Owners returns the top-n distinct workers for a partition in descending
-// score order — the partition's replicaset, primary first. Fewer than n
-// members returns them all.
+// Owners returns the top-n distinct workers for a partition in
+// [0, Partitions()) in descending score order — the partition's replicaset,
+// primary first. Fewer than n members returns them all. The slice is shared
+// with the ring: callers must not modify it.
 func (r *Ring) Owners(part, n int) []string {
-	if len(r.names) == 0 || n <= 0 {
+	m := len(r.names)
+	if m == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.names) {
-		n = len(r.names)
-	}
-	type cand struct {
-		name  string
-		score uint64
-	}
-	cands := make([]cand, len(r.names))
-	for i, name := range r.names {
-		cands[i] = cand{name: name, score: r.score(i, part)}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].name < cands[j].name
-	})
-	out := make([]string, n)
-	for i := range out {
-		out[i] = cands[i].name
-	}
-	return out
+	n = min(n, m)
+	return r.order[part*m : part*m+n : part*m+n]
 }
 
 // Owner returns the partition's primary worker ("" on an empty ring).

@@ -167,12 +167,17 @@ type workerRef struct {
 	// defer to the journal until a probe reports the store healthy again.
 	degraded bool
 	fwdMu    sync.Mutex
+	frame    []byte // forward frame buffer, reused under fwdMu
+
+	// The forward path's per-worker series, resolved once.
+	mForwarded, mForwardErrors, mDeferred, mEvicted *obs.Counter
 
 	policy  *resilience.Policy
 	breaker *resilience.Breaker
 
 	jMu        sync.Mutex
-	journal    []jentry
+	journal    []jentry // a window on jbuf (journalAppend)
+	jbuf       []jentry
 	durableSeq int64 // highest seq covered by the worker's last checkpoint
 	ackedSeq   int64 // highest seq the worker acknowledged applying
 	evicted    int64 // journal entries lost to overflow
@@ -208,13 +213,25 @@ func (w *workerRef) isDegraded() bool {
 }
 
 // journalAppend journals one tweet under the next per-worker slot, evicting
-// the oldest entry when the depth cap is hit.
-func (w *workerRef) journalAppend(e jentry, depth int, evictCtr *obs.Counter) {
+// the oldest entry when the depth cap is hit. The journal is a window on
+// jbuf that evictions and trims move forward. When the window reaches the
+// array's end it moves back to the front if that frees at least half its
+// length, or else to an array twice its length: a journal held at its depth
+// appends without allocating.
+func (w *workerRef) journalAppend(e jentry, depth int) {
 	w.jMu.Lock()
 	if len(w.journal) >= depth {
+		w.journal[0] = jentry{}
 		w.journal = w.journal[1:]
 		w.evicted++
-		evictCtr.Inc()
+		w.mEvicted.Inc()
+	}
+	if n := len(w.journal); n == cap(w.journal) {
+		if cap(w.jbuf)-n <= n/2 {
+			w.jbuf = make([]jentry, 2*n+64)
+		}
+		w.journal = w.jbuf[:copy(w.jbuf, w.journal)]
+		clear(w.jbuf[len(w.journal):])
 	}
 	w.journal = append(w.journal, e)
 	w.jMu.Unlock()
@@ -229,6 +246,7 @@ func (w *workerRef) journalTrim(durableSeq int64) {
 		for i < len(w.journal) && w.journal[i].seq <= durableSeq {
 			i++
 		}
+		clear(w.journal[:i])
 		w.journal = w.journal[i:]
 	}
 	w.jMu.Unlock()
@@ -281,8 +299,6 @@ type Router struct {
 	ring    *Ring
 
 	mHandoff  func(reason string) *obs.Counter
-	mEvicted  func(worker string) *obs.Counter
-	mDeferred func(worker string) *obs.Counter
 	mDegraded func(worker string) *obs.Counter
 	mHealed   func(worker string) *obs.Counter
 }
@@ -302,12 +318,6 @@ func New(opts Options) *Router {
 	}
 	r.mHandoff = func(reason string) *obs.Counter {
 		return reg.Counter("stir_cluster_handoffs_total", "reason", reason)
-	}
-	r.mEvicted = func(worker string) *obs.Counter {
-		return reg.Counter("stir_cluster_journal_evicted_total", "worker", worker)
-	}
-	r.mDeferred = func(worker string) *obs.Counter {
-		return reg.Counter("stir_cluster_deferred_total", "worker", worker)
 	}
 	r.mDegraded = func(worker string) *obs.Counter {
 		return reg.Counter("stir_cluster_degraded_total", "worker", worker)
@@ -372,7 +382,12 @@ func (r *Router) Ring() *Ring {
 
 // newWorkerRef builds the per-worker forwarding machinery.
 func (r *Router) newWorkerRef(name, url string) *workerRef {
-	w := &workerRef{name: name, url: url, up: true}
+	w := &workerRef{name: name, url: url, up: true,
+		mForwarded:     r.reg.Counter("stir_cluster_forwarded_total", "worker", name),
+		mForwardErrors: r.reg.Counter("stir_cluster_forward_errors_total", "worker", name),
+		mDeferred:      r.reg.Counter("stir_cluster_deferred_total", "worker", name),
+		mEvicted:       r.reg.Counter("stir_cluster_journal_evicted_total", "worker", name),
+	}
 	w.health.lastOK = r.opts.Clock.Now()
 	w.breaker = resilience.NewBreaker("cluster_"+name, resilience.BreakerOptions{Metrics: r.reg})
 	w.policy = &resilience.Policy{
@@ -422,20 +437,26 @@ func (r *Router) registerWorkerGauges(name string) {
 	}, "worker", name)
 }
 
-// doJSON performs one traced, deadline-stamped request and decodes the JSON
-// reply into out (when non-nil). Non-2xx maps onto resilience.StatusError so
-// the retry policy classifies 5xx/sheds transient and honours Retry-After.
-func (r *Router) doJSON(ctx context.Context, method, url string, body []byte, out any) error {
+// do performs one traced, deadline-stamped request and hands a 2xx reply
+// to read (when non-nil). A non-nil body goes out with content type ctype,
+// and do returns only once the transport has released it, so the caller
+// may reuse the buffer. Non-2xx maps onto resilience.StatusError so the
+// retry policy classifies 5xx/sheds transient and honours Retry-After.
+func (r *Router) do(ctx context.Context, method, url, ctype string, body []byte, read func(*http.Response) error) error {
 	var rd io.Reader
+	var sent *sentBody
 	if body != nil {
-		rd = bytes.NewReader(body)
+		sent = newSentBody(body)
+		rd = sent
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return resilience.MarkPermanent(err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if sent != nil {
+		defer sent.wait()
+		req.ContentLength = int64(len(body))
+		req.Header.Set("Content-Type", ctype)
 	}
 	overload.SetDeadlineHeader(req)
 	trace.Inject(req)
@@ -455,14 +476,24 @@ func (r *Router) doJSON(ctx context.Context, method, url string, body []byte, ou
 		}
 		return se
 	}
-	if out == nil {
+	if read == nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := read(resp); err != nil {
 		return fmt.Errorf("cluster: decode %s: %w", url, err)
 	}
 	return nil
+}
+
+// doJSON is do with a JSON body and the JSON reply decoded into out (when
+// non-nil).
+func (r *Router) doJSON(ctx context.Context, method, url string, body []byte, out any) error {
+	var read func(*http.Response) error
+	if out != nil {
+		read = func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
+	}
+	return r.do(ctx, method, url, "application/json", body, read)
 }
 
 // IngestReport accounts one IngestBatch call.
@@ -557,7 +588,6 @@ func (r *Router) forwardAll(ctx context.Context, w *workerRef, tweets []*twitter
 	var rep IngestReport
 	w.fwdMu.Lock()
 	defer w.fwdMu.Unlock()
-	evict := r.mEvicted(w.name)
 	for len(tweets) > 0 {
 		n := r.opts.ForwardBatch
 		if n > len(tweets) {
@@ -568,7 +598,7 @@ func (r *Router) forwardAll(ctx context.Context, w *workerRef, tweets []*twitter
 		var lastSeq int64
 		for _, t := range chunk {
 			seq := r.seq.Add(1)
-			w.journalAppend(jentry{seq: seq, tweet: t}, r.opts.JournalDepth, evict)
+			w.journalAppend(jentry{seq: seq, tweet: t}, r.opts.JournalDepth)
 			lastSeq = seq
 		}
 		if w.isDegraded() {
@@ -576,12 +606,12 @@ func (r *Router) forwardAll(ctx context.Context, w *workerRef, tweets []*twitter
 			// checkpoint store cannot make new state durable. The chunk
 			// stays journaled and replays when the store heals.
 			rep.Deferred += len(chunk)
-			r.mDeferred(w.name).Add(int64(len(chunk)))
+			w.mDeferred.Add(int64(len(chunk)))
 			continue
 		}
 		if !w.isUp() {
 			rep.Deferred += len(chunk)
-			r.mDeferred(w.name).Add(int64(len(chunk)))
+			w.mDeferred.Add(int64(len(chunk)))
 			continue
 		}
 		if err := r.forwardChunk(ctx, w, lastSeq, chunk); err != nil {
@@ -589,31 +619,34 @@ func (r *Router) forwardAll(ctx context.Context, w *workerRef, tweets []*twitter
 			// worker is down until it rejoins and replays.
 			w.setUp(false)
 			rep.Deferred += len(chunk)
-			r.mDeferred(w.name).Add(int64(len(chunk)))
+			w.mDeferred.Add(int64(len(chunk)))
 			rep.Errors = append(rep.Errors, WorkerError{Worker: w.name, Error: err.Error()})
-			r.reg.Counter("stir_cluster_forward_errors_total", "worker", w.name).Inc()
+			w.mForwardErrors.Inc()
 			r.log.Warn(ctx, "worker marked down", "worker", w.name, "err", err)
 			continue
 		}
 		rep.Forwarded += len(chunk)
-		r.reg.Counter("stir_cluster_forwarded_total", "worker", w.name).Add(int64(len(chunk)))
+		w.mForwarded.Add(int64(len(chunk)))
 	}
 	return rep
 }
 
-// forwardChunk delivers one seq-stamped chunk with retries and trims the
-// journal to the worker's durable cursor from the ack.
+// forwardChunk delivers one seq-stamped chunk as a forward frame, with
+// retries, and trims the journal to the worker's durable cursor from the
+// ack frame. Callers hold w.fwdMu, which guards the reused frame buffer.
 func (r *Router) forwardChunk(ctx context.Context, w *workerRef, seq int64, tweets []*twitter.Tweet) error {
-	body, err := json.Marshal(ingestRequest{Seq: seq, Tweets: tweets})
-	if err != nil {
-		return err
-	}
+	w.frame = appendForward(w.frame[:0], seq, tweets)
 	url := w.baseURL() + "/cluster/v1/ingest"
-	var ack ingestResponse
-	err = w.policy.Do(ctx, func(ctx context.Context) error {
+	var ack ingestAck
+	err := w.policy.Do(ctx, func(ctx context.Context) error {
 		cctx, cancel := context.WithTimeout(ctx, r.opts.ScatterTimeout)
 		defer cancel()
-		return r.doJSON(cctx, http.MethodPost, url, body, &ack)
+		return r.do(cctx, http.MethodPost, url, frameContentType, w.frame, func(resp *http.Response) error {
+			return withBody(resp.Body, resp.ContentLength, func(b []byte) (err error) {
+				ack, err = readAck(b)
+				return err
+			})
+		})
 	})
 	if err != nil {
 		return err

@@ -75,11 +75,11 @@ func (r *Router) acquire(ctx context.Context) error {
 }
 
 // gather fans one request out to workers (up or not — a down worker yields
-// an error entry without a network call) under the fan-out semaphore. Each
-// worker's ScatterTimeout starts before it waits for a slot, so a query
-// never outlasts it behind calls stuck on some other worker; a wait that
-// times out is that worker's error.
-func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path string) (map[string]T, []WorkerError) {
+// an error entry without a network call) under the fan-out semaphore, and
+// decodes each reply with read. Each worker's ScatterTimeout starts before
+// it waits for a slot, so a query never outlasts it behind calls stuck on
+// some other worker; a wait that times out is that worker's error.
+func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path string, read func(*http.Response) (T, error)) (map[string]T, []WorkerError) {
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -103,7 +103,10 @@ func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path st
 			var v T
 			err := r.acquire(cctx)
 			if err == nil {
-				err = r.doJSON(cctx, http.MethodGet, w.baseURL()+path, nil, &v)
+				err = r.do(cctx, http.MethodGet, w.baseURL()+path, "", nil, func(resp *http.Response) (err error) {
+					v, err = read(resp)
+					return err
+				})
 				<-r.sem
 			}
 			if err != nil {
@@ -123,6 +126,23 @@ func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path st
 	return out, errs
 }
 
+// readJSON decodes a JSON reply.
+func readJSON[T any](resp *http.Response) (T, error) {
+	var v T
+	err := json.NewDecoder(resp.Body).Decode(&v)
+	return v, err
+}
+
+// readSummariesReply decodes a summaries frame for the router's partition
+// count.
+func (r *Router) readSummariesReply(resp *http.Response) (sums []*core.Summary, err error) {
+	err = withBody(resp.Body, resp.ContentLength, func(b []byte) error {
+		sums, err = readSummaries(b, r.opts.Partitions)
+		return err
+	})
+	return sums, err
+}
+
 // Groupings gathers and merges every worker's per-user groupings: the full
 // cluster state in the batch pipeline's shape, for export and differential
 // checks (queries read Groups). With replicas > 1 a user appears on several
@@ -131,7 +151,7 @@ func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path st
 // user ID — the batch pipeline's order.
 func (r *Router) Groupings(ctx context.Context) ([]core.UserGrouping, []WorkerError) {
 	_, workers := r.membership()
-	perWorker, errs := gather[[]core.UserGrouping](r, ctx, workers, "/cluster/v1/groupings")
+	perWorker, errs := gather(r, ctx, workers, "/cluster/v1/groupings", readJSON[[]core.UserGrouping])
 	byUser := make(map[int64]core.UserGrouping)
 	for _, w := range workers {
 		for _, g := range perWorker[w.name] {
@@ -160,8 +180,8 @@ func (r *Router) Groupings(ctx context.Context) ([]core.UserGrouping, []WorkerEr
 // listed in errors either way.
 func (r *Router) Groups(ctx context.Context) (GroupsResult, int) {
 	ring, workers := r.membership()
-	perWorker, errs := gather[map[int]*core.Summary](r, ctx, workers,
-		"/cluster/v1/summaries?partitions="+strconv.Itoa(r.opts.Partitions))
+	perWorker, errs := gather(r, ctx, workers,
+		"/cluster/v1/summaries?partitions="+strconv.Itoa(r.opts.Partitions), r.readSummariesReply)
 	var sum core.Summary
 	partial := false
 	for p := 0; p < r.opts.Partitions; p++ {
@@ -207,7 +227,7 @@ func tweetsIn(s *core.Summary) int {
 // Stats sums every worker's ingestion counters.
 func (r *Router) Stats(ctx context.Context) (StatsResult, int) {
 	_, workers := r.membership()
-	perWorker, errs := gather[stream.Stats](r, ctx, workers, "/v1/stats")
+	perWorker, errs := gather(r, ctx, workers, "/v1/stats", readJSON[stream.Stats])
 	total := len(workers)
 	res := StatsResult{
 		Workers:   total,

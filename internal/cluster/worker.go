@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stir/internal/core"
 	"stir/internal/obs"
 	"stir/internal/obs/trace"
 	"stir/internal/stream"
@@ -25,11 +26,12 @@ const EpochHeader = "X-Stir-Epoch"
 // Worker is the cluster-facing surface of one stream worker: the existing
 // engine plus the handoff and forward-ingest endpoints the router drives.
 //
-//	POST /cluster/v1/ingest      apply a forwarded batch (seq-stamped)
+//	POST /cluster/v1/ingest      apply a forward frame (seq-stamped batch)
 //	POST /cluster/v1/checkpoint  force a durable checkpoint, return its cursor
 //	GET  /cluster/v1/hello       identity + durable cursor (join handshake)
-//	GET  /cluster/v1/summaries   ?partitions=N — §IV summary per non-empty
-//	                             partition (the router's /v1/groups)
+//	GET  /cluster/v1/summaries   ?partitions=N — summaries frame: the §IV
+//	                             summary per non-empty partition (the
+//	                             router's /v1/groups)
 //	GET  /cluster/v1/groupings   full per-user groupings (export, oracles)
 //	GET  /cluster/v1/export      serialise the users of a partition set
 //	POST /cluster/v1/import      install a handoff payload
@@ -121,20 +123,13 @@ func ParseSeq(s string) int64 {
 // FormatSeq encodes a forward sequence as an engine cursor.
 func FormatSeq(n int64) string { return strconv.FormatInt(n, 10) }
 
-// ingestRequest is one forwarded batch: tweets in delivery order plus the
-// router's sequence number of the last tweet.
-type ingestRequest struct {
-	Seq    int64            `json:"seq"`
-	Tweets []*twitter.Tweet `json:"tweets"`
-}
-
-// ingestResponse acknowledges a batch. DurableSeq is the highest sequence
-// covered by a committed checkpoint — the router trims its journal to it.
-type ingestResponse struct {
-	Accepted   int   `json:"accepted"`
-	Refused    int   `json:"refused"`
-	Seq        int64 `json:"seq"`
-	DurableSeq int64 `json:"durable_seq"`
+// ingestAck acknowledges an applied forward (an ack frame). Seq is the
+// highest sequence the worker has applied; DurableSeq the highest one a
+// committed checkpoint covers — the router trims its journal to it.
+type ingestAck struct {
+	Accepted   int
+	Seq        int64
+	DurableSeq int64
 }
 
 // helloResponse is the join handshake: who the worker is and where its
@@ -197,17 +192,19 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var seq int64
+	var tweets []twitter.Tweet
+	err := withBody(r.Body, r.ContentLength, func(b []byte) (err error) {
+		seq, tweets, err = readForward(b)
+		return err
+	})
+	if err != nil {
 		jsonReply(rw, http.StatusBadRequest, httpError{Error: "bad batch: " + err.Error()})
 		return
 	}
 	accepted, refused := 0, 0
-	for _, t := range req.Tweets {
-		if t == nil {
-			continue
-		}
-		if w.eng.Ingest(t) {
+	for i := range tweets {
+		if w.eng.Ingest(&tweets[i]) {
 			accepted++
 		} else {
 			refused++
@@ -220,17 +217,17 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	if req.Seq > w.lastSeq {
-		w.lastSeq = req.Seq
-		w.eng.SetCursor(FormatSeq(req.Seq))
+	if seq > w.lastSeq {
+		w.lastSeq = seq
+		w.eng.SetCursor(FormatSeq(seq))
 	}
-	seq := w.lastSeq
+	seq = w.lastSeq
 	w.mu.Unlock()
-	jsonReply(rw, http.StatusOK, ingestResponse{
+	frameReply(rw, appendAck(nil, ingestAck{
 		Accepted:   accepted,
 		Seq:        seq,
 		DurableSeq: ParseSeq(w.eng.DurableCursor()),
-	})
+	}))
 }
 
 func (w *Worker) handleCheckpoint(rw http.ResponseWriter, r *http.Request) {
@@ -266,9 +263,9 @@ func (w *Worker) handleHello(rw http.ResponseWriter, r *http.Request) {
 // engine shard keeps that many summaries once asked.
 const maxSummaryPartitions = 1 << 16
 
-// handleSummaries serves the engine's partition summaries, keyed by
-// partition. Like groupings it drains first, so a read through the router
-// sees every write the router acknowledged.
+// handleSummaries serves the engine's non-empty partition summaries as a
+// summaries frame. Like groupings it drains first, so a read through the
+// router sees every write the router acknowledged.
 func (w *Worker) handleSummaries(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		jsonReply(rw, http.StatusMethodNotAllowed, httpError{Error: "GET only"})
@@ -280,7 +277,14 @@ func (w *Worker) handleSummaries(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.eng.Drain()
-	jsonReply(rw, http.StatusOK, w.eng.PartitionSummaries(n))
+	sums := make([]*core.Summary, n)
+	for p, s := range w.eng.PartitionSummaries(n) {
+		sums[p] = s
+	}
+	buf := framePool.Get().(*[]byte)
+	*buf = appendSummaries((*buf)[:0], sums)
+	frameReply(rw, *buf)
+	framePool.Put(buf)
 }
 
 func (w *Worker) handleGroupings(rw http.ResponseWriter, r *http.Request) {
@@ -367,6 +371,14 @@ func (w *Worker) handleDrop(rw http.ResponseWriter, r *http.Request) {
 		return parts[PartitionOf(id, partitions)]
 	})
 	jsonReply(rw, http.StatusOK, map[string]int{"users": users, "rejected": rejected})
+}
+
+// frameReply answers 200 with a frame.
+func frameReply(rw http.ResponseWriter, frame []byte) {
+	rw.Header().Set("Content-Type", frameContentType)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	rw.WriteHeader(http.StatusOK)
+	_, _ = rw.Write(frame) // a failed write is the router's read error
 }
 
 type httpError struct {

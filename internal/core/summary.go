@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -140,63 +140,82 @@ func (s *Summary) Analysis() Analysis {
 	return a
 }
 
-// groupJSON is one group of a Summary's wire form: the four integer sums
-// and the exact share sum as its canonical expansion (exactSum.canonical).
-// Go writes each float64 as the shortest decimal that reads back to the
-// same bits, so the wire keeps the sums exact.
-type groupJSON struct {
-	Users     int       `json:"users,omitempty"`
-	Tweets    int       `json:"tweets,omitempty"`
-	Districts int       `json:"districts,omitempty"`
-	Matched   int       `json:"matched,omitempty"`
-	Shares    []float64 `json:"shares,omitempty"`
-}
-
 // maxPartial bounds a share-sum partial on the wire. A share sum is at most
 // the group's user count, far below 2^53; the bound keeps every sum the
 // decoder forms finite.
 const maxPartial = 1 << 53
 
-// MarshalJSON writes the summary as an array of NumGroups objects in
-// display order; an empty group is {}. Equal summaries write equal bytes,
-// however their share sums were accumulated.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	var out [NumGroups]groupJSON
-	for i, g := range s.groups {
-		out[i] = groupJSON{Users: g.users, Tweets: g.tweets, Districts: g.districts, Matched: g.matched, Shares: g.shares.canonical()}
+// AppendFrame appends the summary's binary wire form to dst and returns the
+// extended slice. Each group in display order is four uvarints (users,
+// tweets, districts, matched) followed by the exact share sum as its
+// canonical expansion (exactSum.canonical): a uvarint count, then each
+// partial's IEEE 754 bits, little-endian. Equal summaries write equal
+// bytes, however their share sums were accumulated.
+func (s *Summary) AppendFrame(dst []byte) []byte {
+	for i := range s.groups {
+		g := &s.groups[i]
+		for _, v := range [...]int{g.users, g.tweets, g.districts, g.matched} {
+			dst = binary.AppendUvarint(dst, uint64(v))
+		}
+		parts := g.shares.canonical()
+		dst = binary.AppendUvarint(dst, uint64(len(parts)))
+		for _, p := range parts {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p))
+		}
 	}
-	return json.Marshal(out)
+	return dst
 }
 
-// UnmarshalJSON reads the form MarshalJSON writes. It rebuilds each share
-// sum by adding the partials one by one rather than trusting the slice, so
-// the decoded sum is exact and its partials well formed whatever the bytes
-// held. Negative counts, non-finite or out-of-range partials and a wrong
-// group count are errors; s is left alone on error.
-func (s *Summary) UnmarshalJSON(b []byte) error {
-	var in []groupJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return fmt.Errorf("core: summary: %w", err)
-	}
-	if len(in) != NumGroups {
-		return fmt.Errorf("core: summary has %d groups, want %d", len(in), NumGroups)
-	}
+// ReadFrame decodes the form AppendFrame writes from the front of b into s
+// and returns the bytes after it. It rebuilds each share sum by adding the
+// partials one by one rather than trusting the list, so the decoded sum is
+// exact and its partials well formed whatever the bytes held. A truncated
+// summary, a count past math.MaxInt, a varint longer than it needs to be, a
+// NaN or out-of-range partial, and a partial list that is not the
+// canonical expansion of its own sum are errors, so a summary the decoder
+// accepts re-encodes to the same bytes. It allocates at most a few times
+// the partials' share of len(b), whatever counts b claims. s is left alone
+// on error.
+func (s *Summary) ReadFrame(b []byte) ([]byte, error) {
 	var dec Summary
-	for i, g := range in {
-		if g.Users < 0 || g.Tweets < 0 || g.Districts < 0 || g.Matched < 0 {
-			return fmt.Errorf("core: summary group %v has a negative count", Group(i))
-		}
-		d := &dec.groups[i]
-		d.users, d.tweets, d.districts, d.matched = g.Users, g.Tweets, g.Districts, g.Matched
-		for _, p := range g.Shares {
-			if math.IsNaN(p) || math.Abs(p) > maxPartial {
-				return fmt.Errorf("core: summary group %v has share partial %v", Group(i), p)
+	for i := range dec.groups {
+		g := &dec.groups[i]
+		var v [5]uint64
+		for k := range v {
+			u, n := binary.Uvarint(b)
+			if n <= 0 || n > 1 && b[n-1] == 0 {
+				return nil, fmt.Errorf("core: summary group %v: truncated or malformed varint", Group(i))
 			}
-			d.shares.add(p)
+			v[k], b = u, b[n:]
+		}
+		if v[0] > math.MaxInt || v[1] > math.MaxInt || v[2] > math.MaxInt || v[3] > math.MaxInt {
+			return nil, fmt.Errorf("core: summary group %v has a count past math.MaxInt", Group(i))
+		}
+		g.users, g.tweets, g.districts, g.matched = int(v[0]), int(v[1]), int(v[2]), int(v[3])
+		if v[4] > uint64(len(b)/8) {
+			return nil, fmt.Errorf("core: summary group %v claims %d share partials in %d bytes", Group(i), v[4], len(b))
+		}
+		raw := b[:8*v[4]]
+		b = b[8*v[4]:]
+		for k := 0; k < len(raw); k += 8 {
+			p := math.Float64frombits(binary.LittleEndian.Uint64(raw[k:]))
+			if math.IsNaN(p) || math.Abs(p) > maxPartial {
+				return nil, fmt.Errorf("core: summary group %v has share partial %v", Group(i), p)
+			}
+			g.shares.add(p)
+		}
+		canon := g.shares.canonical()
+		if len(canon)*8 != len(raw) {
+			return nil, fmt.Errorf("core: summary group %v: share partials are not canonical", Group(i))
+		}
+		for k, p := range canon {
+			if math.Float64bits(p) != binary.LittleEndian.Uint64(raw[8*k:]) {
+				return nil, fmt.Errorf("core: summary group %v: share partials are not canonical", Group(i))
+			}
 		}
 	}
 	*s = dec
-	return nil
+	return b, nil
 }
 
 // exactSum holds a sum of float64s exactly, as non-overlapping partials in

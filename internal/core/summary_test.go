@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/big"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -297,10 +298,20 @@ func analysisBits(t *testing.T, a Analysis) string {
 	return string(b)
 }
 
-// A summary survives its wire form: the JSON of a Summary built from random
-// terms with removals decodes to a summary whose Analysis is bit-identical,
-// and merging decoded halves gives the same answer as Analyze.
-func TestSummaryJSONRoundTrip(t *testing.T) {
+// readWhole decodes a summary frame that must fill b exactly.
+func readWhole(s *Summary, b []byte) error {
+	rest, err := s.ReadFrame(b)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	return err
+}
+
+// A summary survives its wire form: the frame of a Summary built from
+// random terms with removals decodes to a summary whose Analysis is
+// bit-identical and which re-encodes to the same bytes, and merging decoded
+// halves gives the same answer as Analyze.
+func TestSummaryFrameRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	users := randomGroupings(rnd, 500)
 	var s, halves [2]Summary
@@ -313,24 +324,20 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 		s[0].Remove(u.Term())
 	}
 	want := analysisBits(t, Analyze(users))
-	b, err := json.Marshal(s[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &s[1]); err != nil {
+	b := s[0].AppendFrame(nil)
+	if err := readWhole(&s[1], b); err != nil {
 		t.Fatal(err)
 	}
 	if got := analysisBits(t, s[1].Analysis()); got != want {
 		t.Fatalf("decoded analysis\n got %s\nwant %s", got, want)
 	}
+	if again := s[1].AppendFrame(nil); !bytes.Equal(again, b) {
+		t.Fatalf("decoded summary re-encodes differently:\n %x\n %x", b, again)
+	}
 	var merged Summary
 	for i := range halves {
-		b, err := json.Marshal(&halves[i])
-		if err != nil {
-			t.Fatal(err)
-		}
 		var back Summary
-		if err := json.Unmarshal(b, &back); err != nil {
+		if err := readWhole(&back, halves[i].AppendFrame(nil)); err != nil {
 			t.Fatal(err)
 		}
 		merged.Merge(&back)
@@ -340,110 +347,76 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	}
 
 	var empty Summary
-	if b, _ := json.Marshal(empty); string(b) != groupsDoc() {
-		t.Fatalf("empty summary encodes as %s", b)
+	if b := empty.AppendFrame([]byte{0xAA}); !bytes.Equal(b, append([]byte{0xAA}, groupsFrame()...)) {
+		t.Fatalf("empty summary appends %x", b)
 	}
 	if !empty.Empty() || s[0].Empty() {
 		t.Fatal("Empty disagrees with the users held")
 	}
-}
-
-// groupsDoc is a summary document whose first groups are gs and whose
-// remaining groups are empty.
-func groupsDoc(gs ...string) string {
-	for len(gs) < NumGroups {
-		gs = append(gs, "{}")
+	rest, err := empty.ReadFrame(append(groupsFrame(), 1, 2))
+	if err != nil || !bytes.Equal(rest, []byte{1, 2}) {
+		t.Fatalf("ReadFrame left %x, %v; want the 2 bytes after the summary", rest, err)
 	}
-	return "[" + strings.Join(gs, ",") + "]"
 }
 
-// The decoder rejects what no summary can hold and leaves its target alone.
-func TestSummaryJSONRejects(t *testing.T) {
-	for _, doc := range []string{
-		`[]`,
-		"[" + strings.Repeat("{},", NumGroups-2) + "{}]",
-		"[" + strings.Repeat("{},", NumGroups) + "{}]",
-		groupsDoc(`{"users":-1}`),
-		groupsDoc(`{}`, `{"tweets":-3}`),
-		groupsDoc(`{}`, `{}`, `{"districts":-1}`),
-		groupsDoc(`{}`, `{}`, `{}`, `{"matched":-1}`),
-		groupsDoc(`{"shares":[1e400]}`),
-		groupsDoc(`{"shares":[1e300]}`),
-		groupsDoc(`{"shares":[-18014398509481984]}`),
-		groupsDoc(`{"users":"1"}`),
-		`{"users":1}`,
-		`null`,
+// groupsFrame is a summary frame whose first groups are gs and whose
+// remaining groups are empty (five zero bytes each).
+func groupsFrame(gs ...[]byte) []byte {
+	var out []byte
+	for _, g := range gs {
+		out = append(out, g...)
+	}
+	for i := len(gs); i < NumGroups; i++ {
+		out = append(out, 0, 0, 0, 0, 0)
+	}
+	return out
+}
+
+// group is one group's frame: four counts and the given partials.
+func group(users, tweets, districts, matched uint64, parts ...float64) []byte {
+	var b []byte
+	for _, v := range []uint64{users, tweets, districts, matched, uint64(len(parts))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, p := range parts {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+	}
+	return b
+}
+
+// The decoder rejects what no summary can hold, and every byte string its
+// encoder would not write, and leaves its target alone.
+func TestSummaryFrameRejects(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"empty":              nil,
+		"one group short":    groupsFrame()[:5*(NumGroups-1)],
+		"truncated partial":  groupsFrame(group(1, 2, 1, 1, 0.5))[:5+4],
+		"overlong varint":    append([]byte{0x80, 0x00, 0, 0, 0}, groupsFrame()[5:]...),
+		"count past MaxInt":  groupsFrame(group(1<<63, 0, 0, 0)),
+		"partials past end":  append([]byte{0, 0, 0, 0, 5}, groupsFrame()[5:]...),
+		"huge partial count": append(binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<62), groupsFrame()[5:]...),
+		"NaN partial":        groupsFrame(group(1, 2, 1, 1, math.NaN())),
+		"infinite partial":   groupsFrame(group(1, 2, 1, 1, math.Inf(1))),
+		"1e300 partial":      groupsFrame(group(1, 2, 1, 1, 1e300, -1e300)),
+		"-2^54 partial":      groupsFrame(group(1, 2, 1, 1, -18014398509481984)),
+		"noncanonical":       groupsFrame(group(3, 9, 3, 5, 0.1, 1, 1)),
+		"unsorted partials":  groupsFrame(group(2, 4, 2, 2, 0x1p-53, 1e-17)),
+		"zero partial":       groupsFrame(group(1, 2, 1, 1, 0)),
+		"negative zero":      groupsFrame(group(1, 2, 1, 1, math.Copysign(0, -1))),
 	} {
 		var s Summary
 		s.Add(UserTerm{Group: Top1, Tweets: 2, Districts: 1, Matched: 1})
 		before := analysisBits(t, s.Analysis())
-		if err := json.Unmarshal([]byte(doc), &s); err == nil {
-			t.Errorf("accepted %s", doc)
+		if err := readWhole(&s, frame); err == nil {
+			t.Errorf("%s: accepted %x", name, frame)
 		}
 		if got := analysisBits(t, s.Analysis()); got != before {
-			t.Errorf("rejected %s but changed the summary", doc)
+			t.Errorf("%s: rejected %x but changed the summary", name, frame)
 		}
 	}
-}
-
-// FuzzSummaryJSON feeds arbitrary bytes to the Summary decoder and checks
-// three properties: no input panics; an accepted document is a fixed point
-// after one encode→decode (and keeps its Analysis bit for bit); and the
-// same bytes read as a schedule of user terms (four bytes per term, as in
-// FuzzSummary) give a summary whose wire form decodes to a bit-identical
-// Analysis. Seeds live in testdata/fuzz/FuzzSummaryJSON.
-func FuzzSummaryJSON(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 4096 {
-			t.Skip()
-		}
-		var s Summary
-		if err := json.Unmarshal(data, &s); err == nil {
-			b1, err := json.Marshal(s)
-			if err != nil {
-				t.Fatalf("encode accepted summary: %v", err)
-			}
-			var s2 Summary
-			if err := json.Unmarshal(b1, &s2); err != nil {
-				t.Fatalf("own encoding %s rejected: %v", b1, err)
-			}
-			b2, err := json.Marshal(s2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Fatalf("not a fixed point:\n once  %s\n twice %s", b1, b2)
-			}
-			if a1, a2 := analysisBits(t, s.Analysis()), analysisBits(t, s2.Analysis()); a1 != a2 {
-				t.Fatalf("round trip moved the analysis:\n %s\n %s", a1, a2)
-			}
-		}
-
-		var built Summary
-		for i := 0; i+4 <= len(data); i += 4 {
-			total := int(data[i+1]) + 1
-			term := UserTerm{
-				Group:     Group(int(data[i]&0x7f) % NumGroups),
-				Tweets:    total,
-				Matched:   int(data[i+2]) % (total + 1),
-				Districts: 1 + int(data[i+3])%total,
-			}
-			if data[i]&0x80 != 0 {
-				built.Remove(term)
-				built.Add(term)
-			}
-			built.Add(term)
-		}
-		b, err := json.Marshal(built)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Summary
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatalf("summary of terms %s rejected: %v", b, err)
-		}
-		if got, want := analysisBits(t, back.Analysis()), analysisBits(t, built.Analysis()); got != want {
-			t.Fatalf("wire form moved the analysis:\n got %s\nwant %s", got, want)
-		}
-	})
+	// The canonical expansion of the same sums is accepted.
+	var s Summary
+	if err := readWhole(&s, groupsFrame(group(3, 9, 3, 5, 1e-17, 1.75))); err != nil {
+		t.Fatal(err)
+	}
 }

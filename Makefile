@@ -120,10 +120,11 @@ bench-cluster:
 
 # Reverse-geocoding grid micro-benchmarks: the compiled cell grid behind `geocoded -fast` (bulk and single-point hot paths)
 # against the R-tree walk the in-process resolver runs, plus the grid's compile cost. Floor: >=10M points/sec, 0 allocs/op
-# on ResolveBulk. Then the request level: 100-point /v1/reverse_batch bodies through geocoded's handler, grid on and off.
+# on ResolveBulk. Then the request level: 100-point /v1/reverse_batch bodies through geocoded's handler, grid on and off;
+# and the in-process resolver's lock-free point table from every proc, hit-heavy and miss-heavy (0 allocs/op on both).
 bench-geocode:
 	$(GO) test -run xxx -bench 'BenchmarkGeofast|BenchmarkRTree' -benchtime 2s ./internal/geofast/
-	$(GO) test -run xxx -bench BenchmarkServerReverseBatch -benchtime 2s ./internal/geocode/
+	$(GO) test -run xxx -bench 'BenchmarkServerReverseBatch|BenchmarkDirectResolver' -benchtime 2s ./internal/geocode/
 
 # Offline continuous-profiling capture: run the sustained ingestion benchmark
 # under the CPU and heap profilers and drop the profiles in profiles/ for

@@ -208,7 +208,10 @@ func (g *Gazetteer) ResolvePoint(p geo.Point, slackKm float64) (*District, error
 	if !p.Valid() {
 		return nil, fmt.Errorf("admin: invalid point %v", p)
 	}
-	hits := g.index.SearchPoint(p)
+	// Districts overlap a handful deep at most: the buffer keeps the
+	// search, and with it an in-district answer, off the heap.
+	var buf [16]gis.Item
+	hits := g.index.AppendPoint(buf[:0], p)
 	var best *District
 	bestD := 0.0
 	for _, it := range hits {

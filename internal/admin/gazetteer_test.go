@@ -118,6 +118,16 @@ func TestResolvePointMissAndSlack(t *testing.T) {
 	}
 }
 
+// TestResolvePointAllocs pins the in-district answer, the reverse
+// geocoder's miss path, to no allocation.
+func TestResolvePointAllocs(t *testing.T) {
+	g := mustKorea(t)
+	p := geo.Point{Lat: 37.498, Lon: 127.028}
+	if n := testing.AllocsPerRun(100, func() { g.ResolvePoint(p, 10) }); n != 0 {
+		t.Fatalf("ResolvePoint: %v allocs, want 0", n)
+	}
+}
+
 func TestResolveNameExactAndAliases(t *testing.T) {
 	g := mustKorea(t)
 	cases := []struct {

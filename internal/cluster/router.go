@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -33,6 +35,46 @@ const (
 	DefaultHandoffTimeout = 30 * time.Second
 	DefaultScatterTimeout = 5 * time.Second
 )
+
+// forwardCopyBuffer sizes the buffer a default-client connection writes
+// request bodies through: a forward frame of DefaultForwardBatch tweets at
+// the longest encoding (three 10-byte varints, the nanoseconds and the
+// text length, MaxTweetLen runes of up to 4 bytes, and the geotag) goes
+// out in one write.
+const forwardCopyBuffer = DefaultForwardBatch * (3*binary.MaxVarintLen64 + 5 + 2 + 4*twitter.MaxTweetLen + 17)
+
+// bodyConn is a default-client connection that copies request bodies
+// through a buffer of its own. net/http flushes a request's headers before
+// a body it does not know to be in memory, as a forward's sentBody, and
+// then hands the body to the connection's ReadFrom, where a TCPConn's
+// generic path allocates a fresh io.Copy buffer for every body. Only the
+// connection's one writer goroutine calls ReadFrom.
+type bodyConn struct {
+	net.Conn
+	buf []byte
+}
+
+func (c *bodyConn) ReadFrom(r io.Reader) (int64, error) {
+	if c.buf == nil {
+		c.buf = make([]byte, forwardCopyBuffer)
+	}
+	return io.CopyBuffer(struct{ io.Writer }{c.Conn}, r, c.buf)
+}
+
+// defaultClient is the router's outbound client when Options.HTTP is nil:
+// http.DefaultTransport's settings over bodyConn connections.
+func defaultClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &bodyConn{Conn: c}, nil
+	}
+	return &http.Client{Transport: tr}
+}
 
 // Options configures a Router.
 type Options struct {
@@ -63,7 +105,8 @@ type Options struct {
 	// Seed fixes the retry-jitter streams (default 1).
 	Seed int64
 	// HTTP overrides the outbound client (default: no global timeout;
-	// per-call contexts bound every request).
+	// per-call contexts bound every request; connections write bodies
+	// through a buffer of their own, see bodyConn).
 	HTTP *http.Client
 	// Metrics receives the stir_cluster_* series (nil means obs.Default).
 	Metrics *obs.Registry
@@ -125,7 +168,7 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	if o.HTTP == nil {
-		o.HTTP = &http.Client{}
+		o.HTTP = defaultClient()
 	}
 	if o.Log == nil {
 		o.Log = logx.New(nil, "stir-router")

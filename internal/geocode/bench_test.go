@@ -1,11 +1,13 @@
 package geocode
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"stir/internal/admin"
@@ -79,6 +81,62 @@ func BenchmarkServerReverseBatch(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)*perBody/b.Elapsed().Seconds(), "points/s")
+		})
+	}
+}
+
+// BenchmarkDirectResolver is the in-process reverse geocoder from every
+// proc at once. hit is a pool of 256 points that stay in the 65,536-slot
+// table, so every lookup after the first pass is one atomic load; miss is
+// a pool of 262,144 points through a 64-slot table, so nearly every lookup
+// asks the gazetteer and overwrites a slot. All points lie inside a
+// district, so both should report 0 allocs/op.
+func BenchmarkDirectResolver(b *testing.B) {
+	gaz, err := admin.NewKoreaGazetteer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	ds := gaz.Districts()
+	inDistrict := func(n int) []geo.Point {
+		pts := make([]geo.Point, n)
+		for i := range pts {
+			d := ds[rng.Intn(len(ds))]
+			pts[i] = d.Center.Destination(rng.Float64()*360, rng.Float64()*d.RadiusKm/2)
+		}
+		return pts
+	}
+	for _, bc := range []struct {
+		name        string
+		pool, slots int
+	}{{"hit", 256, 65536}, {"miss", 1 << 18, 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pts := inDistrict(bc.pool)
+			r := NewGazetteerResolver(gaz, 10, bc.slots)
+			ctx := context.Background()
+			for _, p := range pts {
+				if _, err := r.Reverse(ctx, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before := r.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var start atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(start.Add(int64(len(pts) / 4)))
+				for pb.Next() {
+					if _, err := r.Reverse(ctx, pts[i%len(pts)]); err != nil {
+						b.Error(err)
+						return
+					}
+					i++
+				}
+			})
+			b.StopTimer()
+			st := r.Stats()
+			lookups := st.Hits + st.Misses - before.Hits - before.Misses
+			b.ReportMetric(float64(st.Hits-before.Hits)/float64(lookups), "hit_frac")
 		})
 	}
 }

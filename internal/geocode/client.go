@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"stir/internal/admin"
 	"stir/internal/geo"
 	"stir/internal/obs"
 	"stir/internal/obs/trace"
@@ -23,9 +22,8 @@ import (
 // Client calls a geocode Server with quantisation, caching, and a
 // resilience.Policy that rides out rate limits (429 with Retry-After),
 // transient network errors and 5xx responses — the full failure surface a
-// metered third-party geocoder exposes. It also supports a direct
-// (in-process) resolver so offline pipelines can skip HTTP entirely while
-// exercising the same cache.
+// metered third-party geocoder exposes. DirectResolver is its in-process
+// counterpart, so offline pipelines can skip HTTP entirely.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -77,12 +75,16 @@ func NewClient(baseURL string, cacheSize int) *Client {
 }
 
 // quantize rounds the point for cache keying.
-func (c *Client) quantize(p geo.Point) geo.Point {
-	if c.QuantizeDecimals < 0 {
+func (c *Client) quantize(p geo.Point) geo.Point { return quantizePoint(p, c.QuantizeDecimals) }
+
+// quantizePoint rounds p half away from zero to the given number of
+// decimals; a negative count leaves it as it is.
+func quantizePoint(p geo.Point, decimals int) geo.Point {
+	if decimals < 0 {
 		return p
 	}
 	scale := 1.0
-	for i := 0; i < c.QuantizeDecimals; i++ {
+	for i := 0; i < decimals; i++ {
 		scale *= 10
 	}
 	round := func(v float64) float64 {
@@ -298,68 +300,6 @@ func RegisterCacheMetrics(reg *obs.Registry, name string, p StatsProvider) {
 	reg.GaugeFunc("geocode_cache_evictions", func() float64 { return float64(p.Stats().Evictions) }, "cache", name)
 	reg.GaugeFunc("geocode_cache_entries", func() float64 { return float64(p.Stats().Entries) }, "cache", name)
 }
-
-// DirectResolver resolves points straight through a gazetteer, with the same
-// caching as the HTTP client. Offline pipelines and benchmarks use it.
-type DirectResolver struct {
-	Gaz     GazetteerFunc
-	SlackKm float64
-	cache   *lruCache[geo.Point, Location]
-	quant   int
-}
-
-// GazetteerFunc resolves one quantised point to a district. Tests inject
-// fakes through it; NewGazetteerResolver adapts an admin.Gazetteer.
-type GazetteerFunc func(p geo.Point, slackKm float64) (Location, error)
-
-// NewDirectResolver builds an in-process resolver with an LRU of cacheSize.
-func NewDirectResolver(fn GazetteerFunc, slackKm float64, cacheSize int) *DirectResolver {
-	return &DirectResolver{Gaz: fn, SlackKm: slackKm, cache: newLRUCache[geo.Point, Location](cacheSize), quant: 3}
-}
-
-// NewGazetteerResolver is the in-process reverse geocoder over gaz: district
-// point resolution behind an LRU of cacheSize. slackKm follows the Server
-// rule: 0 means the 10 km default, negative disables the nearest-district
-// fallback.
-func NewGazetteerResolver(gaz *admin.Gazetteer, slackKm float64, cacheSize int) *DirectResolver {
-	if slackKm == 0 {
-		slackKm = 10
-	}
-	return NewDirectResolver(func(p geo.Point, slack float64) (Location, error) {
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return Location{}, err
-		}
-		return Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}, slackKm, cacheSize)
-}
-
-// Reverse implements Resolver.
-func (d *DirectResolver) Reverse(_ context.Context, p geo.Point) (Location, error) {
-	q := quantizePoint(p, d.quant)
-	if loc, ok := d.cache.Get(q); ok {
-		return loc, nil
-	}
-	loc, err := d.Gaz(q, d.SlackKm)
-	if err != nil {
-		return Location{}, fmt.Errorf("%w: %s", ErrNoMatch, p)
-	}
-	d.cache.Put(q, loc)
-	return loc, nil
-}
-
-// Stats exposes cache effectiveness counters.
-func (d *DirectResolver) Stats() CacheStats { return d.cache.Stats() }
-
-func quantizePoint(p geo.Point, decimals int) geo.Point {
-	c := Client{QuantizeDecimals: decimals}
-	return c.quantize(p)
-}
-
-// SetQuantizeDecimals adjusts the resolver's coordinate quantisation (cache
-// cell size): 3 ≈ 110 m (default), 2 ≈ 1.1 km — coarse enough for
-// county-level grouping and far more cache-effective.
-func (d *DirectResolver) SetQuantizeDecimals(n int) { d.quant = n }
 
 // BatchReverse resolves many points through the batch endpoint, splitting
 // into server-sized chunks and consulting/filling the cache per point.

@@ -186,36 +186,6 @@ func TestLRUCacheZeroCapacity(t *testing.T) {
 	}
 }
 
-func TestDirectResolver(t *testing.T) {
-	gaz, err := admin.NewKoreaGazetteer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	fn := func(p geo.Point, slack float64) (Location, error) {
-		calls++
-		d, err := gaz.ResolvePoint(p, slack)
-		if err != nil {
-			return Location{}, err
-		}
-		return Location{Country: d.Country, State: d.State, County: d.County}, nil
-	}
-	r := NewDirectResolver(fn, 10, 128)
-	p := geo.Point{Lat: 37.517, Lon: 126.866}
-	for i := 0; i < 5; i++ {
-		loc, err := r.Reverse(context.Background(), p)
-		if err != nil || loc.County != "Yangcheon-gu" {
-			t.Fatalf("direct resolve = %+v, %v", loc, err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("gazetteer called %d times, cache should hold it to 1", calls)
-	}
-	if _, err := r.Reverse(context.Background(), geo.Point{Lat: 0, Lon: 0}); !errors.Is(err, ErrNoMatch) {
-		t.Fatalf("ocean point err = %v", err)
-	}
-}
-
 // TestGazetteerResolverSlack pins the constructor's slack rule, the one the
 // Server uses: 0 means the 10 km default, negative disables the
 // nearest-district fallback. The probe lies off Jeju's south coast, outside

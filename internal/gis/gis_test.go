@@ -81,6 +81,30 @@ func TestRTreeMatchesLinearSearchPoint(t *testing.T) {
 	}
 }
 
+// TestRTreeAppendPoint pins AppendPoint to SearchPoint: the same items in
+// the same order, after whatever dst already held.
+func TestRTreeAppendPoint(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	rt, _, _ := buildIndexes(r, 200)
+	prefix := Item{Value: -1}
+	for i := 0; i < 50; i++ {
+		p := randPointIn(r, koreaExtent)
+		want := rt.SearchPoint(p)
+		got := rt.AppendPoint([]Item{prefix}, p)
+		if len(got) != len(want)+1 || got[0].Value != -1 {
+			t.Fatalf("%v: appended %d items after the prefix, want %d", p, len(got)-1, len(want))
+		}
+		for j, it := range want {
+			if got[j+1] != it {
+				t.Fatalf("%v: item %d = %v, want %v", p, j, got[j+1].Value, it.Value)
+			}
+		}
+	}
+	if got := NewRTree().AppendPoint(nil, geo.Point{}); got != nil {
+		t.Fatalf("empty tree appended %v", got)
+	}
+}
+
 func TestRTreeMatchesLinearSearchRect(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

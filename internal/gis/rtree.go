@@ -247,29 +247,36 @@ func quadraticPartition(rects []geo.Rect, minSize int) (g1, g2 []int) {
 
 // SearchPoint implements Index.
 func (t *RTree) SearchPoint(p geo.Point) []Item {
+	return t.AppendPoint(nil, p)
+}
+
+// AppendPoint appends the items whose bounds contain p to dst, depth
+// first, and returns the extended slice. It allocates only when dst runs
+// out of room, so a caller with a stack buffer big enough for the overlap
+// at one point searches without allocating.
+func (t *RTree) AppendPoint(dst []Item, p geo.Point) []Item {
 	if t.size == 0 {
-		return nil
+		return dst
 	}
-	var out []Item
-	var walk func(n *rnode)
-	walk = func(n *rnode) {
-		if !n.bounds.Contains(p) {
-			return
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if e.Bounds.Contains(p) {
-					out = append(out, e)
-				}
+	return t.root.appendPoint(dst, p)
+}
+
+func (n *rnode) appendPoint(dst []Item, p geo.Point) []Item {
+	if !n.bounds.Contains(p) {
+		return dst
+	}
+	if n.leaf {
+		for _, e := range n.entries {
+			if e.Bounds.Contains(p) {
+				dst = append(dst, e)
 			}
-			return
 		}
-		for _, c := range n.children {
-			walk(c)
-		}
+		return dst
 	}
-	walk(t.root)
-	return out
+	for _, c := range n.children {
+		dst = c.appendPoint(dst, p)
+	}
+	return dst
 }
 
 // SearchRect implements Index.

@@ -156,10 +156,15 @@ func TestHandlerInjects(t *testing.T) {
 	}
 }
 
+// jongno answers every point with Jongno-gu.
+type jongno struct{}
+
+func (jongno) Reverse(context.Context, geo.Point) (geocode.Location, error) {
+	return geocode.Location{Country: "KR", State: "Seoul", County: "Jongno-gu"}, nil
+}
+
 func TestResolverInjects(t *testing.T) {
-	direct := geocode.NewDirectResolver(func(p geo.Point, _ float64) (geocode.Location, error) {
-		return geocode.Location{Country: "KR", State: "Seoul", County: "Jongno-gu"}, nil
-	}, 10, 16)
+	var direct geocode.Resolver = jongno{}
 	reg := obs.NewRegistry()
 	r := New(1, Rates{Timeout: 1}, reg).Resolver(direct)
 	_, err := r.Reverse(context.Background(), geo.Point{Lat: 37.57, Lon: 126.98})

@@ -50,8 +50,8 @@ func NewProfileResolver(lookup UserLookup, refiner *textnorm.Refiner, resolver g
 }
 
 // NewGazetteerResolver builds the same in-process reverse geocoder the batch
-// pipeline runs on (pipeline.New): geocode.NewGazetteerResolver behind a
-// 65536-entry cache.
+// pipeline runs on (pipeline.New): geocode.NewGazetteerResolver with a
+// 65536-slot point table, which every shard shares without a lock.
 func NewGazetteerResolver(gaz *admin.Gazetteer, slackKm float64) geocode.Resolver {
 	return geocode.NewGazetteerResolver(gaz, slackKm, 65536)
 }

@@ -16,6 +16,9 @@ import (
 type Generator struct {
 	cfg Config
 	rng *rand.Rand
+	// near memoises the districts nearest each home, which depend only on
+	// the home and draw nothing from rng.
+	near map[*admin.District][]*admin.District
 }
 
 // New validates cfg and returns a Generator.
@@ -23,7 +26,11 @@ func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return &Generator{
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		near: make(map[*admin.District][]*admin.District),
+	}, nil
 }
 
 // UserTruth is the generator's ground truth for one user, kept so tests and
@@ -150,7 +157,11 @@ func (g *Generator) makeUser(svc *twitter.Service, districts []*admin.District, 
 // makeHaunts builds the user's visit distribution according to class. Nearby
 // districts are preferred as secondary haunts, matching real commutes.
 func (g *Generator) makeHaunts(home *admin.District, class MobilityClass, districts []*admin.District, cum []float64) []Haunt {
-	near := g.cfg.Gazetteer.NearestDistricts(home.Center, 12)
+	near, ok := g.near[home]
+	if !ok {
+		near = g.cfg.Gazetteer.NearestDistricts(home.Center, 12)
+		g.near[home] = near
+	}
 	pickNear := func() *admin.District {
 		return near[g.rng.Intn(len(near))]
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net/http"
@@ -8,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"stir/internal/core"
 	"stir/internal/obs"
 	"stir/internal/resilience/fault"
 	"stir/internal/storage"
 	"stir/internal/storage/vfs"
+	"stir/internal/twitter"
 )
 
 // TestClusterChaosKillWorkerConverges is the capstone: a worker is
@@ -278,5 +281,133 @@ func TestClusterReplicatedIngest(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/stats", http.StatusOK, &stats)
 	if !stats.Partial || stats.WorkersOK != 2 || len(stats.Errors) != 1 {
 		t.Fatalf("/v1/stats with one replica down: %+v", stats)
+	}
+}
+
+// TestClusterReplicatedRemoval removes one of three workers at replicas=2,
+// once gracefully (Leave) and twice as a crash (RemoveCrashed from its
+// checkpoint store), the second time with a journal so short that part of
+// the tail past the checkpoint was evicted. Each time the cluster converges
+// byte-identically to batch, and a survivor's users in partitions it owned
+// before the removal come through it unchanged: only the new owners import,
+// so the survivors' complete copies cover the journal's hole.
+func TestClusterReplicatedRemoval(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		reason  string // the removal: "leave" or "crash"
+		journal int    // Options.JournalDepth; 0 is the default
+	}{{"leave", "leave", 0}, {"crash", "crash", 0}, {"crash-evicted", "crash", 64}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := fault.SeedFromEnv(2026) + 53
+			ds := testDataset(t, 300, 53)
+			ctx := context.Background()
+			res, err := ds.Analyze(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tweets := allTweets(ds)
+			reg := obs.NewRegistry()
+			r := testRouter(t, reg, func(o *Options) {
+				o.Replicas = 2
+				o.Seed = seed
+				o.JournalDepth = tc.journal
+			})
+			w1 := startWorker(t, ds, "w1", vfs.NewFault(vfs.FaultConfig{Seed: seed + 1}))
+			defer w1.stop()
+			w2 := startWorker(t, ds, "w2", vfs.NewFault(vfs.FaultConfig{Seed: seed + 2}))
+			defer w2.stop()
+			victimFS := vfs.NewFault(vfs.FaultConfig{Seed: seed})
+			victim := startWorker(t, ds, "w3", victimFS)
+			join(t, r, w1)
+			join(t, r, w2)
+			join(t, r, victim)
+
+			// A durable cut, then a tail only the journal and the workers'
+			// memory hold: the later half of every user's tweets (in order,
+			// as per-user ID dedup requires), so grouped users change past
+			// the checkpoint, and a short journal loses most of it. Every
+			// tweet lands on two owners.
+			byUser := make(map[twitter.UserID][]*twitter.Tweet)
+			var users []twitter.UserID
+			for _, tw := range tweets {
+				if byUser[tw.UserID] == nil {
+					users = append(users, tw.UserID)
+				}
+				byUser[tw.UserID] = append(byUser[tw.UserID], tw)
+			}
+			var pre, post []*twitter.Tweet
+			for _, id := range users {
+				ts := byUser[id]
+				pre = append(pre, ts[:len(ts)/2]...)
+				post = append(post, ts[len(ts)/2:]...)
+			}
+			stream := func(part []*twitter.Tweet) {
+				for i := 0; i < len(part); i += 64 {
+					batch := part[i:min(i+64, len(part))]
+					if rep := r.IngestBatch(ctx, batch); rep.Forwarded != 2*len(batch) {
+						t.Fatalf("replicated ingest: %+v (want %d forwarded)", rep, 2*len(batch))
+					}
+				}
+			}
+			stream(pre)
+			if errs := r.CheckpointAll(ctx); len(errs) != 0 {
+				t.Fatalf("checkpoint: %+v", errs)
+			}
+			evicted := reg.Counter("stir_cluster_journal_evicted_total", "worker", "w3")
+			cut := evicted.Value()
+			stream(post)
+			if (tc.journal > 0) != (evicted.Value() > cut) {
+				t.Fatalf("w3's journal evicted %d entries past the checkpoint at depth %d", evicted.Value()-cut, tc.journal)
+			}
+
+			// What each survivor holds of the partitions it already owns.
+			ring := r.Ring()
+			owned := func(w *testWorker) []byte {
+				w.eng.Drain()
+				mine := make(map[int]bool)
+				for _, p := range ring.PartsOwnedBy(w.name, 2) {
+					mine[p] = true
+				}
+				var gs []core.UserGrouping
+				for _, g := range w.eng.Groupings() {
+					if mine[PartitionOf(twitter.UserID(g.UserID), 32)] {
+						gs = append(gs, g)
+					}
+				}
+				return mustJSON(t, gs)
+			}
+			survivors := []*testWorker{w1, w2}
+			before := make([][]byte, len(survivors))
+			for i, w := range survivors {
+				before[i] = owned(w)
+			}
+
+			if tc.reason == "crash" {
+				victim.kill()
+				r.MarkDown("w3")
+				store, err := storage.Open("ckpt", storage.Options{FS: victimFS, Metrics: obs.Discard})
+				if err != nil {
+					t.Fatalf("reopen dead worker's store: %v", err)
+				}
+				defer store.Close()
+				if err := r.RemoveCrashed(ctx, "w3", store); err != nil {
+					t.Fatalf("RemoveCrashed: %v", err)
+				}
+			} else {
+				if err := r.Leave(ctx, "w3"); err != nil {
+					t.Fatalf("Leave: %v", err)
+				}
+				victim.stop()
+			}
+			if got := reg.Counter("stir_cluster_handoffs_total", "reason", tc.reason).Value(); got == 0 {
+				t.Fatalf("%s recorded no handoffs", tc.reason)
+			}
+			for i, w := range survivors {
+				if got := owned(w); !bytes.Equal(got, before[i]) {
+					t.Fatalf("%s: %s's already-owned partitions changed across the removal", tc.name, w.name)
+				}
+			}
+			assertClusterMatchesBatch(t, r, res)
+		})
 	}
 }

@@ -246,9 +246,9 @@ func TestRouterKeepsChunkJournaledOnBadFrame(t *testing.T) {
 	if !strings.Contains(rep.Errors[0].Error, http.StatusText(http.StatusBadRequest)) {
 		t.Fatalf("refusal not reported as a 400: %q", rep.Errors[0].Error)
 	}
-	v := r.RingState().Workers[0]
-	if v.Up || v.JournalDepth != len(tweets) || v.AckedSeq != 0 {
-		t.Fatalf("after a 400 the worker should be down with the chunk journaled: %+v", v)
+	v := r.Members().Members[0]
+	if v.Health != "suspect" || v.JournalDepth != len(tweets) || v.AckedSeq != 0 {
+		t.Fatalf("after a 400 the worker should be suspect with the chunk journaled: %+v", v)
 	}
 	w.eng.Drain()
 	if n := w.eng.Ingested(); n != 0 {

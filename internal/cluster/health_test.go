@@ -117,12 +117,12 @@ func TestHealthDetectorSuspectDownRejoin(t *testing.T) {
 		t.Fatalf("one missed probe already escalated: %+v", got)
 	}
 
-	// Past SuspectAfter: Suspect, marked down, forwards defer.
+	// Past SuspectAfter: Suspect, forwards defer.
 	clk.Advance(DefaultSuspectAfter + time.Second)
 	r.HealthTick(ctx)
 	m := r.Members()
-	if m.Members[1].Name != "w2" || m.Members[1].Health != "suspect" || m.Members[1].Up {
-		t.Fatalf("want w2 suspect+down after silence, got %+v", m.Members[1])
+	if m.Members[1].Name != "w2" || m.Members[1].Health != "suspect" {
+		t.Fatalf("want w2 suspect after silence, got %+v", m.Members[1])
 	}
 	if m.Members[1].LastErr == "" {
 		t.Fatal("suspect member should carry its probe error")
@@ -148,11 +148,11 @@ func TestHealthDetectorSuspectDownRejoin(t *testing.T) {
 	}
 
 	// Heal the partition: the next probe succeeds and the detector rejoins
-	// the worker on its own — breaker reset, journal replayed, Alive again.
+	// the worker on its own — journal replayed, Alive again.
 	part.Heal(host2)
 	r.HealthTick(ctx)
 	got := r.Members().Members[1]
-	if got.Health != "alive" || !got.Up {
+	if got.Health != "alive" {
 		t.Fatalf("healed worker should auto-rejoin, got %+v", got)
 	}
 	if reg.Counter("stir_cluster_replayed_total", "worker", "w2").Value() == 0 {
@@ -288,7 +288,7 @@ func TestHealthFailoverLastWorkerGuard(t *testing.T) {
 	part.HealAll()
 	clk.Advance(time.Second)
 	r.HealthTick(ctx)
-	if got := r.Members().Members[0]; got.Health != "alive" || !got.Up {
+	if got := r.Members().Members[0]; got.Health != "alive" {
 		t.Fatalf("survivor should heal, got %+v", got)
 	}
 	assertClusterMatchesBatch(t, r, res)
@@ -312,7 +312,7 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 
 // TestMarkDownDefersWithoutHTTP is the no-wasted-budget regression: once a
 // worker is marked down, its forwards defer to the journal without a single
-// HTTP attempt — no retry burn, no breaker churn, nothing on the wire.
+// HTTP attempt — no retry burn, nothing on the wire.
 func TestMarkDownDefersWithoutHTTP(t *testing.T) {
 	ds := testDataset(t, 200, 43)
 	res, err := ds.Analyze(context.Background())
@@ -373,7 +373,7 @@ func TestMembersEndpoint(t *testing.T) {
 		t.Fatalf("members view: %+v", m)
 	}
 	row := m.Members[0]
-	if row.Name != "w1" || row.Health != "alive" || !row.Up || row.URL == "" {
+	if row.Name != "w1" || row.Health != "alive" || row.URL == "" {
 		t.Fatalf("member row: %+v", row)
 	}
 	if len(row.Partitions) == 0 {

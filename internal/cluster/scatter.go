@@ -74,9 +74,9 @@ func (r *Router) acquire(ctx context.Context) error {
 	}
 }
 
-// gather fans one request out to workers (up or not — a down worker yields
-// an error entry without a network call) under the fan-out semaphore, and
-// decodes each reply with read. Each worker's ScatterTimeout starts before
+// gather fans one request out to workers (serving or not — a suspect or
+// down worker yields an error entry without a network call) under the
+// fan-out semaphore, and decodes each reply with read. Each worker's ScatterTimeout starts before
 // it waits for a slot, so a query never outlasts it behind calls stuck on
 // some other worker; a wait that times out is that worker's error.
 func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path string, read func(*http.Response) (T, error)) (map[string]T, []WorkerError) {
@@ -87,7 +87,7 @@ func gather[T any](r *Router, ctx context.Context, workers []*workerRef, path st
 		errs []WorkerError
 	)
 	for _, w := range workers {
-		if !w.isUp() {
+		if !w.state().serving() {
 			// Under mu: goroutines spawned for earlier workers may already be
 			// appending their own errors.
 			mu.Lock()
@@ -270,7 +270,7 @@ func (r *Router) User(ctx context.Context, id twitter.UserID) (stream.UserView, 
 	var errs []WorkerError
 	for _, o := range owners {
 		w := workers[o]
-		if w == nil || !w.isUp() {
+		if w == nil || !w.state().serving() {
 			errs = append(errs, WorkerError{Worker: o, Error: "down (awaiting rejoin)"})
 			continue
 		}
@@ -298,65 +298,13 @@ func errStatus(err error) (int, bool) {
 	return 0, false
 }
 
-// RingView is the admin view of membership.
-type RingView struct {
-	Partitions int              `json:"partitions"`
-	Replicas   int              `json:"replicas"`
-	Workers    []RingWorkerView `json:"workers"`
-}
-
-// RingWorkerView is one worker's row in the admin view.
-type RingWorkerView struct {
-	Name         string `json:"name"`
-	URL          string `json:"url"`
-	Up           bool   `json:"up"`
-	Degraded     bool   `json:"degraded,omitempty"`
-	Partitions   int    `json:"partitions"`
-	JournalDepth int    `json:"journal_depth"`
-	DurableSeq   int64  `json:"durable_seq"`
-	AckedSeq     int64  `json:"acked_seq"`
-	Evicted      int64  `json:"journal_evicted"`
-}
-
-// RingState reports current membership, ownership spread and journal state.
-func (r *Router) RingState() RingView {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v := RingView{Partitions: r.opts.Partitions, Replicas: r.opts.Replicas}
-	for _, name := range r.ring.Workers() {
-		w := r.workers[name]
-		if w == nil {
-			continue
-		}
-		w.mu.Lock()
-		url, up, degraded := w.url, w.up, w.degraded
-		w.mu.Unlock()
-		w.jMu.Lock()
-		depth, durable, acked, evicted := len(w.journal), w.durableSeq, w.ackedSeq, w.evicted
-		w.jMu.Unlock()
-		v.Workers = append(v.Workers, RingWorkerView{
-			Name:         name,
-			URL:          url,
-			Up:           up,
-			Degraded:     degraded,
-			Partitions:   len(r.ring.PartsOwnedBy(name, r.opts.Replicas)),
-			JournalDepth: depth,
-			DurableSeq:   durable,
-			AckedSeq:     acked,
-			Evicted:      evicted,
-		})
-	}
-	return v
-}
-
 // Handler returns the router's HTTP surface:
 //
 //	POST /v1/ingest              route a batch of tweets to their shards
 //	GET  /v1/groups              cluster-wide §IV statistics (partial-tolerant)
 //	GET  /v1/stats               summed worker counters (partial-tolerant)
 //	GET  /v1/users/{id}          single-user lookup via the owning replicas
-//	GET  /cluster/v1/ring        membership + journal state
-//	GET  /cluster/v1/members     failure-detector state, epoch, cursors
+//	GET  /cluster/v1/members     membership: health, cursors, journals, partitions
 //	POST /cluster/v1/join        ?name=&url= — join or rejoin a worker
 //	POST /cluster/v1/leave       ?name= — graceful departure with handoff
 //	POST /cluster/v1/checkpoint  checkpoint every worker, trim journals
@@ -372,9 +320,6 @@ func (r *Router) Handler() http.Handler {
 		return res, status
 	}))
 	mux.HandleFunc("/v1/users/", r.handleUser)
-	mux.HandleFunc("/cluster/v1/ring", func(w http.ResponseWriter, req *http.Request) {
-		jsonReply(w, http.StatusOK, r.RingState())
-	})
 	mux.HandleFunc("/cluster/v1/members", func(w http.ResponseWriter, req *http.Request) {
 		jsonReply(w, http.StatusOK, r.Members())
 	})

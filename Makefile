@@ -35,7 +35,8 @@ race:
 verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
 
 # Short coverage-guided fuzzing of the decoders that read wire bytes
-# (geocode XML, the cluster's binary forward and summaries frames), of the
+# (geocode XML, the cluster's binary forward and summaries frames, the
+# traceparent header every daemon reads), of the
 # profile-location classifier against its reference and of the §IV summary
 # against Analyze and a math/big sum, one target per line (go test -fuzz
 # takes one target at a time, so each pattern is anchored). Seeds live
@@ -46,8 +47,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzSummary$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeUserState$$' -fuzztime 10s ./internal/stream/
+	$(GO) test -run xxx -fuzz '^FuzzTraceparent$$' -fuzztime 10s ./internal/obs/trace/
 
-# Run the deterministic fault-injection suite (retry/breaker under injected
+# Run the deterministic fault-injection suite (retries under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race
 # detector and a fixed seed, so a failure replays bit-for-bit.
 chaos: crash cluster-chaos partition-chaos disk-chaos
@@ -77,7 +79,7 @@ partition-chaos:
 # frees the space and verifies heal + journal replay converge byte-identically
 # to batch with zero evictions — plus the ENOSPC/budget unit suites.
 disk-chaos:
-	$(GO) test -race -count=1 -run 'TestDiskExhaustionChaosConverges|TestDegradedAutoFailoverOnlyWhenEvicting|TestDegradedWorkerReadAfterSilence|TestStalledWorkerRejoinsDegraded' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestDiskExhaustionChaosConverges|TestDegradedAutoFailoverOnlyWhenEvicting|TestDegradedWorkerReadAfterSilence|TestStalledWorkerRejoinsDegraded|TestStalledWorkerHealsWithoutCheckpoint' ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestCheckpointDefersOnDiskFullAndHeals' ./internal/stream/
 	$(GO) test -race -count=1 -run 'ENOSPC|Watermark|NoSpace|TestHardTripHealsViaCompaction' ./internal/storage/...
 

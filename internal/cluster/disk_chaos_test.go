@@ -382,6 +382,18 @@ func TestDegradedWorkerReadAfterSilence(t *testing.T) {
 // checkpoint lands, the next probe replays the journal and the cluster
 // converges on batch.
 func TestStalledWorkerRejoinsDegraded(t *testing.T) {
+	stalledWorkerHeals(t, true)
+}
+
+// TestStalledWorkerHealsWithoutCheckpoint is the same outage healed by the
+// probe alone: no checkpoint lands between the disk freeing and the next
+// probe, so the heal's own checkpoint must clear the worker's stall before
+// the replay, and the worker is alive after that one probe.
+func TestStalledWorkerHealsWithoutCheckpoint(t *testing.T) {
+	stalledWorkerHeals(t, false)
+}
+
+func stalledWorkerHeals(t *testing.T, checkpointFirst bool) {
 	leaktest.Check(t)
 	seed := fault.SeedFromEnv(2026) + 307
 	ds := testDataset(t, 300, 37)
@@ -472,14 +484,17 @@ func TestStalledWorkerRejoinsDegraded(t *testing.T) {
 		fed += n
 	}
 
-	// The disk frees. A checkpoint clears the stall (the worker takes
-	// forwards again), and the next probe heals w2 and replays its journal.
+	// The disk frees, and the next probe heals w2 and replays its journal.
+	// The heal checkpoints first, so it does not need the external
+	// checkpoint that otherwise clears the stall.
 	victimFS.Mem().AddExternalUsage(-capacity)
 	if err := victim.store.TryRecover(); err != nil {
 		t.Fatalf("TryRecover after space freed: %v", err)
 	}
-	if errs := r.CheckpointAll(ctx); len(errs) != 0 {
-		t.Fatalf("checkpoint after space freed errored: %+v", errs)
+	if checkpointFirst {
+		if errs := r.CheckpointAll(ctx); len(errs) != 0 {
+			t.Fatalf("checkpoint after space freed errored: %+v", errs)
+		}
 	}
 	clk.Advance(time.Second)
 	r.HealthTick(ctx)

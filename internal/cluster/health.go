@@ -168,7 +168,7 @@ func (r *Router) HealthTick(ctx context.Context) {
 //
 //	alive, store full:        degraded (reads stay, forwards defer)
 //	degraded, store full:     fail over if the journal is evicting
-//	degraded, store healthy:  heal (replay the deferred tail, alive)
+//	degraded, store healthy:  heal (checkpoint, replay the tail, alive)
 //	suspect or down:          rejoin (replay, alive; or degraded, no replay)
 func (r *Router) probeOK(ctx context.Context, w *workerRef, h helloResponse, now time.Time) {
 	w.mu.Lock()
@@ -185,7 +185,7 @@ func (r *Router) probeOK(ctx context.Context, w *workerRef, h helloResponse, now
 		if h.Degraded {
 			r.failoverIfEvicting(ctx, w)
 		} else {
-			r.healDegraded(ctx, w, h)
+			r.healDegraded(ctx, w)
 		}
 	default:
 		r.mu.Lock()
@@ -216,16 +216,25 @@ func (r *Router) failoverIfEvicting(ctx context.Context, w *workerRef) {
 	}
 }
 
-// healDegraded replays the journal tail a disk-degraded worker deferred and
-// turns it alive. The forward lock is held across the tail snapshot, the
-// replay and the transition — concurrent ingests journal under the same
-// lock, so no chunk can slip between the snapshot and the first live
-// forward. A replay failure leaves the worker degraded; the next probe
-// retries.
-func (r *Router) healDegraded(ctx context.Context, w *workerRef, h helloResponse) {
+// healDegraded brings a disk-degraded worker whose store healed back to
+// alive. It first asks the worker for a checkpoint: only a committed
+// checkpoint clears a stalled engine's dirty window, and until then the
+// worker refuses forwards. The journal is trimmed to the checkpoint's cursor
+// and the tail past it replayed. The forward lock is held across the tail
+// snapshot, the replay and the transition — concurrent ingests journal
+// under the same lock, so no chunk can slip between the snapshot and the
+// first live forward. A failed checkpoint or replay leaves the worker
+// degraded; the next probe retries.
+func (r *Router) healDegraded(ctx context.Context, w *workerRef) {
 	w.fwdMu.Lock()
 	defer w.fwdMu.Unlock()
-	replayed, err := r.replayTail(ctx, w, w.journalTail(h.DurableSeq))
+	durable, err := r.checkpointWorker(ctx, w)
+	if err != nil {
+		r.log.Warn(ctx, "disk-heal checkpoint failed (worker stays write-deferred)",
+			"worker", w.name, "err", err)
+		return
+	}
+	replayed, err := r.replayTail(ctx, w, w.journalTail(durable))
 	if err != nil {
 		r.log.Warn(ctx, "disk-heal replay failed (worker stays write-deferred)",
 			"worker", w.name, "replayed", replayed, "err", err)

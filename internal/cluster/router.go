@@ -439,7 +439,7 @@ func (r *Router) registerWorkerGauges(name string) {
 // do performs one traced, deadline-stamped request and hands a 2xx reply
 // to read (when non-nil). A non-nil body goes out with content type ctype,
 // and do returns only once the transport has released it, so the caller
-// may reuse the buffer. Non-2xx maps onto resilience.StatusError so the
+// may reuse the buffer. Non-2xx maps onto resilience.ResponseError so the
 // retry policy classifies 5xx/sheds transient and honours Retry-After.
 func (r *Router) do(ctx context.Context, method, url, ctype string, body []byte, read func(*http.Response) error) error {
 	var rd io.Reader
@@ -467,13 +467,7 @@ func (r *Router) do(ctx context.Context, method, url, ctype string, body []byte,
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		se := &resilience.StatusError{Status: resp.StatusCode}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-				se.Wait = time.Duration(secs) * time.Second
-			}
-		}
-		return se
+		return resilience.ResponseError(resp)
 	}
 	if read == nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
@@ -1102,28 +1096,36 @@ func (r *Router) CheckpointAll(ctx context.Context) []WorkerError {
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			var ack struct {
-				DurableSeq int64 `json:"durable_seq"`
-			}
-			cctx, cancel := context.WithTimeout(ctx, r.opts.HandoffTimeout)
-			defer cancel()
-			err := r.acquire(cctx)
-			if err == nil {
-				err = r.doJSON(cctx, http.MethodPost, w.baseURL()+"/cluster/v1/checkpoint", nil, &ack)
-				<-r.sem
-			}
-			if err != nil {
+			if _, err := r.checkpointWorker(ctx, w); err != nil {
 				emu.Lock()
 				errs = append(errs, WorkerError{Worker: w.name, Error: err.Error()})
 				emu.Unlock()
-				return
 			}
-			w.journalTrim(ack.DurableSeq)
 		}(w)
 	}
 	wg.Wait()
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Worker < errs[j].Worker })
 	return errs
+}
+
+// checkpointWorker asks w for a durable checkpoint and trims its journal to
+// the acknowledged cursor, which it returns.
+func (r *Router) checkpointWorker(ctx context.Context, w *workerRef) (int64, error) {
+	var ack struct {
+		DurableSeq int64 `json:"durable_seq"`
+	}
+	ctx, cancel := context.WithTimeout(ctx, r.opts.HandoffTimeout)
+	defer cancel()
+	if err := r.acquire(ctx); err != nil {
+		return 0, err
+	}
+	err := r.doJSON(ctx, http.MethodPost, w.baseURL()+"/cluster/v1/checkpoint", nil, &ack)
+	<-r.sem
+	if err != nil {
+		return 0, err
+	}
+	w.journalTrim(ack.DurableSeq)
+	return ack.DurableSeq, nil
 }
 
 // rootSpan opens a traced root when a tracer is configured.

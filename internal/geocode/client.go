@@ -19,7 +19,7 @@ import (
 	"stir/internal/resilience"
 )
 
-// Client calls a geocode Server with quantisation, caching, and a
+// Client calls a geocode Server with quantisation, caching, and one
 // resilience.Policy that rides out rate limits (429 with Retry-After),
 // transient network errors and 5xx responses — the full failure surface a
 // metered third-party geocoder exposes. DirectResolver is its in-process
@@ -30,23 +30,16 @@ type Client struct {
 	// QuantizeDecimals rounds coordinates before lookup/caching; 3 decimals
 	// (~110 m) is plenty for county-level grouping. Negative disables.
 	QuantizeDecimals int
-	// MaxBackoff caps one rate-limit sleep.
-	MaxBackoff time.Duration
-	// MaxRetries bounds retries per call.
-	MaxRetries int
-	// Retry overrides the retry policy built from MaxBackoff/MaxRetries.
+	// Retry is the policy every request runs under. NewClient sets 7
+	// attempts with a 10ms base and a 2s cap. Tune its fields before the
+	// first call. A nil Retry.Metrics takes the client's Metrics.
 	Retry *resilience.Policy
-	// Breaker, when set, gates every request so a dead geocoder fails fast
-	// instead of stalling the pipeline behind full backoff ladders.
-	Breaker *resilience.Breaker
-	// Metrics receives request/throttle/backoff series (nil means
-	// obs.Default; obs.Discard disables).
+	// Metrics receives request/throttle series (nil means obs.Default;
+	// obs.Discard disables).
 	Metrics *obs.Registry
 
 	cache   *lruCache[geo.Point, Location]
-	sleep   func(context.Context, time.Duration) error
 	polOnce sync.Once
-	pol     *resilience.Policy
 }
 
 // ErrNoMatch reports a point no district is near.
@@ -58,19 +51,13 @@ func NewClient(baseURL string, cacheSize int) *Client {
 		BaseURL:          baseURL,
 		HTTP:             &http.Client{Timeout: 15 * time.Second},
 		QuantizeDecimals: 3,
-		MaxBackoff:       2 * time.Second,
-		MaxRetries:       6,
-		cache:            newLRUCache[geo.Point, Location](cacheSize),
-		sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
+		Retry: &resilience.Policy{
+			Name:        "geocode_client",
+			MaxAttempts: 7,
+			BaseDelay:   10 * time.Millisecond,
+			MaxDelay:    2 * time.Second,
 		},
+		cache: newLRUCache[geo.Point, Location](cacheSize),
 	}
 }
 
@@ -110,45 +97,16 @@ func (c *Client) Reverse(ctx context.Context, p geo.Point) (Location, error) {
 	return loc, nil
 }
 
-// policy resolves the client's retry policy once: the explicit Retry
-// override, or one built from MaxBackoff/MaxRetries.
+// policy returns Retry, binding its series to the client's Metrics on
+// first use (Metrics may be set after NewClient).
 func (c *Client) policy() *resilience.Policy {
 	c.polOnce.Do(func() {
-		if c.Retry != nil {
-			c.pol = c.Retry
-			if c.pol.Breaker == nil {
-				c.pol.Breaker = c.Breaker
-			}
-			return
-		}
-		retries := c.MaxRetries
-		if retries <= 0 {
-			retries = 6
-		}
-		maxB := c.MaxBackoff
-		if maxB <= 0 {
-			maxB = 2 * time.Second
-		}
-		c.pol = &resilience.Policy{
-			Name:        "geocode_client",
-			MaxAttempts: retries + 1,
-			BaseDelay:   10 * time.Millisecond,
-			MaxDelay:    maxB,
-			Breaker:     c.Breaker,
-			Metrics:     c.Metrics,
-			Sleep:       c.sleep,
+		if c.Retry.Metrics == nil {
+			c.Retry.Metrics = c.Metrics
 		}
 	})
-	return c.pol
+	return c.Retry
 }
-
-// throttled is a 429 response carrying the server-advertised wait; the
-// retry policy classifies it transient and honours the hint.
-type throttled struct{ wait time.Duration }
-
-func (e *throttled) Error() string             { return "geocode client: rate limited" }
-func (e *throttled) HTTPStatus() int           { return http.StatusTooManyRequests }
-func (e *throttled) RetryAfter() time.Duration { return e.wait }
 
 func (c *Client) fetch(ctx context.Context, p geo.Point) (Location, error) {
 	reg := obs.Or(c.Metrics)
@@ -176,7 +134,7 @@ func (c *Client) fetch(ctx context.Context, p geo.Point) (Location, error) {
 		if err != nil {
 			return fmt.Errorf("geocode client: read: %w", err)
 		}
-		if ferr := c.faultFrom(resp, body, reg); ferr != nil {
+		if ferr := faultFrom(resp, reg); ferr != nil {
 			return ferr
 		}
 		rs, err := UnmarshalResultSet(body)
@@ -205,61 +163,19 @@ func (c *Client) fetch(ctx context.Context, p geo.Point) (Location, error) {
 	return loc, nil
 }
 
-// faultFrom converts a throttle or server-failure response into its typed
-// retryable error (nil when resp is fine). 429s count and carry the
-// advertised wait; 5xx becomes a transient StatusError.
-func (c *Client) faultFrom(resp *http.Response, _ []byte, reg *obs.Registry) error {
-	if resp.StatusCode == http.StatusTooManyRequests {
-		wait := retryAfterHint(resp, c.MaxBackoff)
+// faultFrom converts a throttle or server-failure response into a
+// retryable resilience.StatusError carrying the advertised wait (nil when
+// resp is fine, or a 4xx whose XML body the caller reads). 429s and
+// hinted sheds count as throttles.
+func faultFrom(resp *http.Response, reg *obs.Registry) error {
+	if resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode < http.StatusInternalServerError {
+		return nil
+	}
+	se := resilience.ResponseError(resp)
+	if resilience.IsThrottle(se) {
 		reg.Counter("geocode_client_throttled_total").Inc()
-		reg.Histogram("geocode_client_backoff_seconds", obs.DefBuckets).ObserveDuration(wait)
-		reg.Counter("geocode_client_retries_total").Inc()
-		return &throttled{wait: wait}
 	}
-	if resp.StatusCode >= http.StatusInternalServerError {
-		// Carry a Retry-After when the server sent one: a 503 shed with a
-		// hint is cooperative backpressure (resilience.IsThrottle), which
-		// backs off without feeding the breaker.
-		var wait time.Duration
-		if raw := resp.Header.Get("Retry-After"); raw != "" {
-			if secs, err := strconv.Atoi(raw); err == nil && secs > 0 {
-				wait = time.Duration(secs) * time.Second
-				if maxB := c.MaxBackoff; maxB > 0 && wait > maxB {
-					wait = maxB
-				}
-				reg.Counter("geocode_client_throttled_total").Inc()
-			}
-		}
-		return &resilience.StatusError{Status: resp.StatusCode, Wait: wait}
-	}
-	return nil
-}
-
-// retryAfterHint derives the server-advertised wait from the rate-limit
-// headers, capped at maxB.
-func retryAfterHint(resp *http.Response, maxB time.Duration) time.Duration {
-	if maxB <= 0 {
-		maxB = 2 * time.Second
-	}
-	wait := 10 * time.Millisecond
-	if raw := resp.Header.Get("Retry-After"); raw != "" {
-		if secs, err := strconv.Atoi(raw); err == nil {
-			if d := time.Duration(secs) * time.Second; d > wait {
-				wait = d
-			}
-		}
-	}
-	if raw := resp.Header.Get("X-RateLimit-Reset"); raw != "" {
-		if unix, err := strconv.ParseInt(raw, 10, 64); err == nil {
-			if until := time.Until(time.Unix(unix, 0)); until > wait {
-				wait = until
-			}
-		}
-	}
-	if wait > maxB {
-		wait = maxB
-	}
-	return wait
+	return se
 }
 
 // Stats exposes cache effectiveness counters.
@@ -382,7 +298,7 @@ func (c *Client) postBatch(ctx context.Context, body string) (*ResultSet, error)
 		if err != nil {
 			return fmt.Errorf("geocode client: batch read: %w", err)
 		}
-		if ferr := c.faultFrom(resp, raw, reg); ferr != nil {
+		if ferr := faultFrom(resp, reg); ferr != nil {
 			return ferr
 		}
 		rs, err := UnmarshalResultSet(raw)

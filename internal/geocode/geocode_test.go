@@ -23,8 +23,8 @@ func startGeocode(t *testing.T, opts ServerOptions) (*httptest.Server, *Client) 
 	srv := httptest.NewServer(NewServer(gaz, opts))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL, 1024)
-	c.MaxBackoff = 100 * time.Millisecond
-	c.MaxRetries = 30
+	c.Retry.MaxDelay = 100 * time.Millisecond
+	c.Retry.MaxAttempts = 31
 	return srv, c
 }
 

@@ -4,7 +4,7 @@
 // twitter and geocode clients, extracted by every daemon's middleware — so
 // one logical request through the §III funnel (stir → twitterd → geocoded)
 // reassembles into a single cross-process tree. The resilience layer
-// annotates spans with attempt counts and breaker state, the overload layer
+// annotates spans with attempt counts and backoff sleeps, the overload layer
 // with queue wait and shed reasons, and storage with segment operations,
 // which is exactly the per-request causality the aggregate /metrics series
 // cannot carry.

@@ -1,6 +1,6 @@
 // Package overload is STIR's server-side overload-protection layer. The
-// clients gained retries and breakers in the resilience PR, which makes an
-// unprotected server *worse* under stress: every timeout comes back as a
+// clients retry through internal/resilience, which makes an unprotected
+// server *worse* under stress: every timeout comes back as a
 // retry, and the collapse amplifies. This package gives every STIR daemon
 // the standard serving-system defences:
 //
@@ -21,7 +21,7 @@
 // (stir_overload_shed_total{reason}, stir_overload_queue_depth,
 // stir_overload_limit, stir_overload_inflight), and the shed responses carry
 // Retry-After so the resilience layer backs clients off cooperatively
-// instead of tripping their breakers.
+// instead of counting the shed as a fault.
 package overload
 
 import (

@@ -1,14 +1,15 @@
-// Package resilience is STIR's dependency-free fault-handling layer: a
+// Package resilience is STIR's dependency-free fault-handling layer: one
 // configurable retry policy (exponential backoff with deterministic seeded
 // jitter, transient/permanent error classification, per-attempt and overall
-// deadlines) and a closed/open/half-open circuit breaker keyed per host.
+// deadlines, server-advertised waits) and the one reader of a server's shed
+// (ResponseError).
 //
 // The paper's dataset came out of long crawls against flaky external
 // services (the Twitter APIs, the Yahoo geocoder); this package is what lets
 // the collection and refinement stack ride out the faults those services
 // throw instead of aborting hours of work on the first connection reset.
 // Policies publish their activity to the internal/obs registry
-// (resilience_retries_total, resilience_breaker_state, ...), and
+// (resilience_retries_total, resilience_throttled_total, ...), and
 // internal/resilience/fault provides the matching deterministic
 // fault-injection harness so every failure path has a reproducible test.
 package resilience
@@ -19,6 +20,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"syscall"
 	"time"
 )
@@ -105,9 +107,8 @@ func MarkPermanent(err error) error {
 // injector's errors do).
 type Transienter interface{ Transient() bool }
 
-// IsMarked classifies errors wrapped by MarkTransient/MarkPermanent, errors
-// implementing Transienter, and the breaker's ErrOpen (transient: the
-// breaker may re-close after its probe window).
+// IsMarked classifies errors wrapped by MarkTransient/MarkPermanent and
+// errors implementing Transienter.
 func IsMarked(err error) (Class, bool) {
 	var m *marked
 	if errors.As(err, &m) {
@@ -119,9 +120,6 @@ func IsMarked(err error) (Class, bool) {
 			return ClassTransient, true
 		}
 		return ClassPermanent, true
-	}
-	if errors.Is(err, ErrOpen) {
-		return ClassTransient, true
 	}
 	return 0, false
 }
@@ -140,10 +138,10 @@ func IsContextDone(err error) (Class, bool) {
 // this package importing them (twitter.APIError implements it).
 type HTTPStatuser interface{ HTTPStatus() int }
 
-// StatusError is a bare HTTP status failure for callers with no richer
-// error type of their own (the geocode client wraps 5xx responses in it).
-// Wait carries a server-advertised Retry-After when the response had one,
-// which marks the error as a cooperative shed (see IsThrottle).
+// StatusError is a bare HTTP status failure, as ResponseError reads it off a
+// non-2xx response. Wait carries the server-advertised wait when the
+// response had one, which marks the error as a cooperative shed (see
+// IsThrottle).
 type StatusError struct {
 	Status int
 	Wait   time.Duration
@@ -160,13 +158,27 @@ func (e *StatusError) HTTPStatus() int { return e.Status }
 // RetryAfter implements RetryAfterer (zero when the server gave no hint).
 func (e *StatusError) RetryAfter() time.Duration { return e.Wait }
 
+// ResponseError reads a non-2xx response as a StatusError. Wait is the
+// Retry-After seconds when that value is positive, otherwise the time until
+// X-RateLimit-Reset (a Unix time), otherwise zero, which leaves the policy's
+// own backoff in charge. Wait is not capped here: Policy.Do clamps hints at
+// MaxDelay.
+func ResponseError(resp *http.Response) *StatusError {
+	se := &StatusError{Status: resp.StatusCode}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		se.Wait = time.Duration(secs) * time.Second
+	} else if unix, err := strconv.ParseInt(resp.Header.Get("X-RateLimit-Reset"), 10, 64); err == nil {
+		se.Wait = max(time.Until(time.Unix(unix, 0)), 0)
+	}
+	return se
+}
+
 // IsThrottle reports whether err is a cooperative shed: the server is alive
 // and explicitly asking the caller to back off, either with a 429 or with a
 // Retry-After hint on any status (overload sheds answer 503 + Retry-After).
-// Throttles are retried like any transient error, but they must NOT feed the
-// circuit breaker's failure count — tripping the breaker on "please slow
-// down" would turn cooperative backpressure into an outage, and the whole
-// point of server-side admission control is that clients ride a shed out.
+// Throttles are retried like any transient error and counted apart from
+// faults (resilience_throttled_total): the whole point of server-side
+// admission control is that clients ride a shed out.
 func IsThrottle(err error) bool {
 	if err == nil {
 		return false

@@ -118,8 +118,8 @@ func crawlStore(t *testing.T, baseURL string, seed twitter.UserID) (map[twitter.
 	}
 	t.Cleanup(func() { st.Close() })
 	c := twitter.NewClient(baseURL)
-	c.MaxBackoff = 20 * time.Millisecond
-	c.MaxRetries = 30
+	c.Retry.MaxDelay = 20 * time.Millisecond
+	c.Retry.MaxAttempts = 31
 	c.Metrics = obs.Discard
 	cr := &twitter.Crawler{Client: c, Store: st, Metrics: obs.Discard}
 	res, err := cr.Run(context.Background(), seed)

@@ -24,10 +24,9 @@ const (
 )
 
 // Policy is a reusable retry policy: exponential backoff with deterministic
-// seeded jitter, transient/permanent classification, optional per-attempt
-// and overall deadlines, and an optional circuit breaker consulted before
-// every attempt. The zero value is usable and retries with the defaults
-// above. A Policy is safe for concurrent use.
+// seeded jitter, transient/permanent classification, and optional
+// per-attempt and overall deadlines. The zero value is usable and retries
+// with the defaults above. A Policy is safe for concurrent use.
 type Policy struct {
 	// Name labels the policy's metric series (default "default").
 	Name string
@@ -53,10 +52,6 @@ type Policy struct {
 	Budget time.Duration
 	// Classify overrides the package-level Classify (nil = default chain).
 	Classify func(error) Class
-	// Breaker, when set, gates every attempt: open-circuit attempts fail
-	// fast with ErrOpen and still consume attempts/backoff, and outcomes
-	// are reported back to the breaker.
-	Breaker *Breaker
 	// Metrics receives the policy's series (nil means obs.Default;
 	// obs.Discard disables).
 	Metrics *obs.Registry
@@ -105,13 +100,8 @@ func (p *Policy) Do(ctx context.Context, op func(context.Context) error) error {
 			}
 			return err
 		}
-		err := p.Breaker.Allow()
-		denied := err != nil
-		if !denied {
-			err = p.attempt(ctx, op)
-		}
+		err := p.attempt(ctx, op)
 		if err == nil {
-			p.Breaker.Success()
 			if sp != nil && attempt > 0 {
 				sp.AnnotateInt("retry.attempts", int64(attempt+1))
 			}
@@ -124,26 +114,19 @@ func (p *Policy) Do(ctx context.Context, op func(context.Context) error) error {
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil && p.AttemptTimeout > 0 {
 			cls = ClassTransient
 		}
-		if sp != nil {
-			if denied {
-				sp.Annotate("retry.breaker", "open")
-			} else {
-				outcome := cls.String()
-				if IsThrottle(err) {
-					outcome = "throttle"
-				}
-				sp.Annotate("retry.fail", strconv.Itoa(attempt+1)+" "+outcome)
-			}
+		// Cooperative sheds (429, or Retry-After on any status) are the
+		// server managing load, not the server failing; they are counted
+		// apart so a dashboard can tell backpressure from faults.
+		throttle := IsThrottle(err)
+		if throttle {
+			reg.Counter("resilience_throttled_total", "policy", name).Inc()
 		}
-		if !denied {
-			// Cooperative sheds (429, or Retry-After on any status) are the
-			// server managing load, not the server failing: back off without
-			// counting them toward the breaker's trip threshold.
-			if IsThrottle(err) {
-				reg.Counter("resilience_throttled_total", "policy", name).Inc()
-			} else {
-				p.Breaker.Failure()
+		if sp != nil {
+			outcome := cls.String()
+			if throttle {
+				outcome = "throttle"
 			}
+			sp.Annotate("retry.fail", strconv.Itoa(attempt+1)+" "+outcome)
 		}
 		if cls == ClassPermanent {
 			reg.Counter("resilience_permanent_total", "policy", name).Inc()

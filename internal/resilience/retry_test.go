@@ -41,7 +41,6 @@ func TestClassifyChain(t *testing.T) {
 		{"conn reset", fmt.Errorf("read: %w", syscall.ECONNRESET), ClassTransient},
 		{"conn refused", syscall.ECONNREFUSED, ClassTransient},
 		{"unexpected EOF", io.ErrUnexpectedEOF, ClassTransient},
-		{"breaker open", fmt.Errorf("gate: %w", ErrOpen), ClassTransient},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
@@ -230,31 +229,6 @@ func TestRetryMetrics(t *testing.T) {
 	}
 	if m, ok := snap.Get("resilience_giveups_total", "policy", "unit"); !ok || m.Value != 1 {
 		t.Fatalf("giveups_total = %+v ok=%v, want 1", m, ok)
-	}
-}
-
-func TestRetryWithBreakerFailsFastWhenOpen(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker("up", BreakerOptions{
-		FailureThreshold: 2, OpenFor: time.Hour, Metrics: obs.Discard,
-		Now: func() time.Time { return now },
-	})
-	var delays []time.Duration
-	p := &Policy{MaxAttempts: 5, Breaker: b, Metrics: obs.Discard, Sleep: recordSleep(&delays)}
-	calls := 0
-	err := p.Do(context.Background(), func(context.Context) error {
-		calls++
-		return MarkTransient(errors.New("down"))
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	// Two real attempts trip the breaker; the remaining three are denied.
-	if calls != 2 {
-		t.Fatalf("op calls = %d, want 2 (breaker should deny the rest)", calls)
-	}
-	if b.State() != StateOpen {
-		t.Fatalf("state = %v, want open", b.State())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,54 +33,96 @@ func TestIsThrottle(t *testing.T) {
 	}
 }
 
-// TestBreakerIgnoresThrottles pins the contract the overload layer depends
-// on: a server shedding with Retry-After is managing load, and clients that
-// trip their breakers on sheds would turn that backpressure into an outage.
-func TestBreakerIgnoresThrottles(t *testing.T) {
+// TestThrottlesRetriedAndCounted pins the contract the overload layer
+// depends on: a server shedding with Retry-After is managing load, so every
+// shed is retried and counted as a throttle, not given up on.
+func TestThrottlesRetriedAndCounted(t *testing.T) {
 	reg := obs.NewRegistry()
-	br := NewBreaker("shed", BreakerOptions{FailureThreshold: 2, Metrics: reg})
 	p := &Policy{
 		Name:        "shed",
 		MaxAttempts: 6,
-		Breaker:     br,
 		Metrics:     reg,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
 	}
 
 	shed := &StatusError{Status: http.StatusServiceUnavailable, Wait: time.Second}
-	err := p.Do(context.Background(), func(context.Context) error { return shed })
-	if err == nil {
-		t.Fatal("Do succeeded, want exhausted attempts")
+	calls := 0
+	err := p.Do(context.Background(), func(context.Context) error {
+		calls++
+		return shed
+	})
+	if err == nil || !strings.Contains(err.Error(), "6 attempts exhausted") {
+		t.Fatalf("Do = %v, want 6 attempts exhausted", err)
 	}
-	if got := br.State(); got != StateClosed {
-		t.Fatalf("breaker state after 6 sheds = %v, want closed", got)
+	if calls != 6 {
+		t.Fatalf("op ran %d times, want every one of 6 attempts", calls)
 	}
-	m, ok := reg.Snapshot().Get("resilience_throttled_total", "policy", "shed")
-	if !ok || m.Value != 6 {
+	snap := reg.Snapshot()
+	if m, ok := snap.Get("resilience_throttled_total", "policy", "shed"); !ok || m.Value != 6 {
 		t.Fatalf("resilience_throttled_total = %+v ok=%v, want 6", m, ok)
+	}
+	if m, ok := snap.Get("resilience_retries_total", "policy", "shed"); !ok || m.Value != 5 {
+		t.Fatalf("resilience_retries_total = %+v ok=%v, want 5", m, ok)
 	}
 }
 
-// TestBreakerStillTripsOnFailures is the control: a genuine 500 (no
-// Retry-After, not a 429) must keep feeding the breaker.
-func TestBreakerStillTripsOnFailures(t *testing.T) {
-	reg := obs.NewRegistry()
-	br := NewBreaker("hard", BreakerOptions{FailureThreshold: 2, Metrics: reg})
-	p := &Policy{
-		Name:        "hard",
-		MaxAttempts: 6,
-		Breaker:     br,
-		Metrics:     reg,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+// TestResponseError pins the one reader of a server's shed: Retry-After
+// first, then X-RateLimit-Reset, else no hint and the policy's own backoff.
+func TestResponseError(t *testing.T) {
+	reset := func(d time.Duration) string { return strconv.FormatInt(time.Now().Add(d).Unix(), 10) }
+	cases := []struct {
+		name     string
+		status   int
+		header   map[string]string
+		min, max time.Duration
+	}{
+		{"Retry-After only", 503, map[string]string{"Retry-After": "3"}, 3 * time.Second, 3 * time.Second},
+		{"X-RateLimit-Reset only", 429, map[string]string{"X-RateLimit-Reset": reset(30 * time.Second)}, 28 * time.Second, 30 * time.Second},
+		{"both: Retry-After wins", 429, map[string]string{"Retry-After": "2", "X-RateLimit-Reset": reset(30 * time.Second)}, 2 * time.Second, 2 * time.Second},
+		{"neither", 429, nil, 0, 0},
+		{"plain 500", 500, nil, 0, 0},
+		{"malformed Retry-After", 503, map[string]string{"Retry-After": "soon"}, 0, 0},
+		{"zero Retry-After", 503, map[string]string{"Retry-After": "0"}, 0, 0},
+		{"negative Retry-After", 503, map[string]string{"Retry-After": "-5"}, 0, 0},
+		{"malformed reset", 429, map[string]string{"X-RateLimit-Reset": "later"}, 0, 0},
+		{"zero reset", 429, map[string]string{"X-RateLimit-Reset": "0"}, 0, 0},
+		{"negative reset", 429, map[string]string{"X-RateLimit-Reset": "-60"}, 0, 0},
+		{"reset already past", 429, map[string]string{"X-RateLimit-Reset": reset(-time.Minute)}, 0, 0},
+		{"hint above MaxDelay stays uncapped", 503, map[string]string{"Retry-After": "3600"}, time.Hour, time.Hour},
+	}
+	for _, c := range cases {
+		resp := &http.Response{StatusCode: c.status, Header: http.Header{}}
+		for k, v := range c.header {
+			resp.Header.Set(k, v)
+		}
+		se := ResponseError(resp)
+		if se.Status != c.status || se.Wait < c.min || se.Wait > c.max {
+			t.Errorf("%s: ResponseError = {%d %v}, want status %d wait in [%v, %v]",
+				c.name, se.Status, se.Wait, c.status, c.min, c.max)
+		}
 	}
 
-	hard := &StatusError{Status: http.StatusInternalServerError}
-	err := p.Do(context.Background(), func(context.Context) error { return hard })
-	if err == nil {
-		t.Fatal("Do succeeded, want failure")
-	}
-	if got := br.State(); got != StateOpen {
-		t.Fatalf("breaker state after repeated 500s = %v, want open", got)
+	// The policy clamps a hint above MaxDelay and otherwise falls back to
+	// its own backoff.
+	for _, c := range []struct {
+		name string
+		ra   string
+		want time.Duration
+	}{
+		{"hint above MaxDelay", "3600", 2 * time.Second},
+		{"hint below MaxDelay", "1", time.Second},
+		{"no hint", "", 25 * time.Millisecond},
+	} {
+		var slept []time.Duration
+		p := &Policy{MaxAttempts: 2, JitterFrac: -1, Metrics: obs.Discard, Sleep: recordSleep(&slept)}
+		resp := &http.Response{StatusCode: http.StatusServiceUnavailable, Header: http.Header{}}
+		if c.ra != "" {
+			resp.Header.Set("Retry-After", c.ra)
+		}
+		p.Do(context.Background(), func(context.Context) error { return ResponseError(resp) })
+		if len(slept) != 1 || slept[0] != c.want {
+			t.Errorf("%s: slept %v, want [%v]", c.name, slept, c.want)
+		}
 	}
 }
 

@@ -59,25 +59,25 @@ func TestRetryAnnotatesOneSpan(t *testing.T) {
 	}
 }
 
-func TestRetryAnnotatesExhaustionAndBreaker(t *testing.T) {
+func TestRetryAnnotatesExhaustion(t *testing.T) {
 	tr := trace.New(trace.Options{Service: "cli", Sample: 1, Metrics: obs.NewRegistry()})
 	ctx, sp := tr.Root(context.Background(), "op")
 
-	// Breaker already open: every attempt is denied and annotated as such.
-	b := NewBreaker("test", BreakerOptions{FailureThreshold: 1, OpenFor: time.Hour, Metrics: obs.Discard})
-	b.Failure()
-	p := &Policy{MaxAttempts: 2, Breaker: b, Metrics: obs.Discard, Sleep: noSleep}
-	if err := p.Do(ctx, func(context.Context) error { return nil }); err == nil {
-		t.Fatal("open breaker let the call through")
+	p := &Policy{MaxAttempts: 2, Metrics: obs.Discard, Sleep: noSleep}
+	if err := p.Do(ctx, func(context.Context) error { return MarkTransient(errors.New("down")) }); err == nil {
+		t.Fatal("a failing op succeeded")
 	}
 	sp.End()
 
 	_, annots := traceAnnots(t, tr)
-	if got := annots["retry.breaker"]; len(got) != 2 || got[0] != "open" {
-		t.Fatalf("retry.breaker = %v", got)
+	if got := annots["retry.fail"]; len(got) != 2 || got[0] != "1 transient" || got[1] != "2 transient" {
+		t.Fatalf("retry.fail = %v", got)
 	}
 	if got := annots["retry.outcome"]; len(got) != 1 || got[0] != "exhausted" {
 		t.Fatalf("retry.outcome = %v", got)
+	}
+	if got := annots["retry.attempts"]; len(got) != 1 || got[0] != "2" {
+		t.Fatalf("retry.attempts = %v", got)
 	}
 }
 

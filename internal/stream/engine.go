@@ -5,7 +5,7 @@
 // each shard holds its users' incremental grouping state, so one tweet costs
 // O(k) for a user with k distinct districts (a find and a short move in a
 // slice kept in batch order) instead of a full re-analysis. The engine
-// reconnects through a resilience policy with backoff and a breaker,
+// reconnects through a resilience policy with exponential backoff,
 // checkpoints shard state atomically through internal/storage for
 // crash-safe resume, publishes stream_* metrics via internal/obs, and
 // answers live queries (per-group statistics, per-user
@@ -83,8 +83,8 @@ type Config struct {
 	// state, Ingest sheds (DropWhenFull) or blocks until a checkpoint
 	// lands. 0 means DefaultMaxDirtyUsers; only meaningful with Store.
 	MaxDirtyUsers int
-	// Reconnect overrides Run's connect retry policy (backoff + breaker on
-	// stream refusals). Nil builds a default policy.
+	// Reconnect overrides Run's connect retry policy (backoff on stream
+	// refusals). Nil builds a default policy.
 	Reconnect *resilience.Policy
 	// Metrics receives the stream_* series (nil means obs.Default;
 	// obs.Discard disables).
@@ -604,13 +604,13 @@ func (e *Engine) Close() {
 }
 
 // errEmptyStream marks a connection that ended without delivering anything —
-// treated as a refusal so backoff and the breaker engage.
+// treated as a refusal so backoff engages.
 var errEmptyStream = errors.New("stream: connection ended before delivering any tweet")
 
 // Run consumes src until ctx dies, reconnecting forever: a connection that
 // delivered tweets and then dropped reconnects immediately with fresh
-// backoff, while consecutive refusals back off exponentially, feed the
-// breaker and eventually exhaust the policy (Run then returns the error).
+// backoff, while consecutive refusals back off exponentially and eventually
+// exhaust the policy (Run then returns the error).
 // Returns nil when ctx is cancelled. With Store and CheckpointEvery set,
 // state checkpoints on that period.
 func (e *Engine) Run(ctx context.Context, src Source) error {
@@ -622,7 +622,6 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 			BaseDelay:   100 * time.Millisecond,
 			MaxDelay:    10 * time.Second,
 			Seed:        e.cfg.Seed,
-			Breaker:     resilience.NewBreaker("stream", resilience.BreakerOptions{Metrics: e.reg}),
 			Metrics:     e.reg,
 		}
 	}

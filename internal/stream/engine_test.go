@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,27 +201,37 @@ func TestGroupCountsTrackSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunGivesUpAfterPolicyExhaustion runs the default policy's attempt
+// count against a source that keeps refusing: every attempt reaches the
+// source (none is failed fast), the policy gives up once, and Run returns
+// its exhaustion error.
 func TestRunGivesUpAfterPolicyExhaustion(t *testing.T) {
+	reg := obs.NewRegistry()
 	eng, _ := plainEngine(t, func(c *Config) {
 		c.Reconnect = &resilience.Policy{
 			Name:        "stream_test",
-			MaxAttempts: 3,
+			MaxAttempts: 8,
 			BaseDelay:   time.Millisecond,
-			Metrics:     obs.NewRegistry(),
+			Metrics:     reg,
 			Sleep:       func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
 		}
 	})
+	var connects atomic.Int64
 	src := srcFunc(func(ctx context.Context, fn func(*twitter.Tweet) bool) error {
+		connects.Add(1)
 		return nil // connects, delivers nothing, ends
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := eng.Run(ctx, src)
-	if err == nil {
-		t.Fatal("Run should fail once the connect policy is exhausted")
+	if err == nil || !strings.Contains(err.Error(), "attempts exhausted") {
+		t.Fatalf("Run = %v, want the connect policy's exhaustion error", err)
 	}
-	if st := eng.Stats(); st.ConnectFailures == 0 {
-		t.Fatalf("no connect failures recorded: %+v", st)
+	if st := eng.Stats(); st.ConnectFailures != 8 || connects.Load() != 8 {
+		t.Fatalf("connect failures %d, source connects %d, want 8 and 8", st.ConnectFailures, connects.Load())
+	}
+	if m, ok := reg.Snapshot().Get("resilience_giveups_total", "policy", "stream_test"); !ok || m.Value != 1 {
+		t.Fatalf("resilience_giveups_total = %+v ok=%v, want 1", m, ok)
 	}
 }
 

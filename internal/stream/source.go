@@ -21,7 +21,7 @@ func ServiceLookup(svc *twitter.Service) UserLookup {
 	}
 }
 
-// ClientLookup adapts the HTTP client SDK (retries and breaker included).
+// ClientLookup adapts the HTTP client SDK (its retry policy included).
 func ClientLookup(c *twitter.Client) UserLookup {
 	return func(ctx context.Context, id twitter.UserID) (*twitter.User, error) {
 		return c.UserShow(ctx, id)

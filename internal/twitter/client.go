@@ -22,54 +22,37 @@ import (
 )
 
 // Client is the SDK the crawler and examples use against an APIServer. Every
-// call runs under a resilience.Policy: 429 responses sleep until the
-// advertised window reset (capped by MaxBackoff), and transient network
-// errors and 5xx responses are retried with jittered exponential backoff —
-// the discipline the paper's weeks-long collection needed to survive both
-// the API's limits and its outages.
+// call runs under one resilience.Policy: 429s and sheds back off to the
+// wait the server advertised, and transient network errors and 5xx
+// responses are retried with jittered exponential backoff — the discipline
+// the paper's weeks-long collection needed to survive both the API's limits
+// and its outages.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	// MaxBackoff caps a single rate-limit sleep (default 2s — the simulated
-	// server uses short windows; real deployments would raise it).
-	MaxBackoff time.Duration
-	// MaxRetries bounds retries per call (default 5).
-	MaxRetries int
-	// Retry overrides the retry policy built from MaxBackoff/MaxRetries.
+	// Retry is the policy every call runs under. NewClient sets 6 attempts
+	// with a 10ms base and a 2s cap (the simulated server uses short
+	// windows; real deployments would raise it). Tune its fields before the
+	// first call. A nil Retry.Metrics takes the client's Metrics.
 	Retry *resilience.Policy
-	// Breaker, when set, gates every request (fail fast while the API is
-	// down instead of hammering it). Use resilience.NewBreakerGroup keyed
-	// per host when one process talks to several upstreams.
-	Breaker *resilience.Breaker
 	// Metrics receives the client's request/throttle series (nil means
 	// obs.Default; obs.Discard disables).
 	Metrics *obs.Registry
-	// sleep is swappable for tests.
-	sleep func(context.Context, time.Duration) error
 
 	polOnce sync.Once
-	pol     *resilience.Policy
 }
 
 // NewClient returns a client for the API at baseURL.
 func NewClient(baseURL string) *Client {
 	return &Client{
-		BaseURL:    baseURL,
-		HTTP:       &http.Client{Timeout: 30 * time.Second},
-		MaxBackoff: 2 * time.Second,
-		MaxRetries: 5,
-		sleep:      sleepCtx,
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
+		BaseURL: baseURL,
+		HTTP:    &http.Client{Timeout: 30 * time.Second},
+		Retry: &resilience.Policy{
+			Name:        "twitter_client",
+			MaxAttempts: 6,
+			BaseDelay:   10 * time.Millisecond,
+			MaxDelay:    2 * time.Second,
+		},
 	}
 }
 
@@ -78,7 +61,7 @@ type APIError struct {
 	Status int
 	Msg    string
 	Code   int
-	// Wait is the server-advertised backoff on a 429 (zero otherwise).
+	// Wait is the server-advertised backoff (resilience.ResponseError).
 	Wait time.Duration
 }
 
@@ -101,36 +84,19 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
-// policy resolves the client's retry policy once: the explicit Retry
-// override, or one built from MaxBackoff/MaxRetries.
+// policy returns Retry, binding its series to the client's Metrics on
+// first use (Metrics may be set after NewClient).
 func (c *Client) policy() *resilience.Policy {
 	c.polOnce.Do(func() {
-		if c.Retry != nil {
-			c.pol = c.Retry
-			if c.pol.Breaker == nil {
-				c.pol.Breaker = c.Breaker
-			}
-			return
-		}
-		retries := c.MaxRetries
-		if retries <= 0 {
-			retries = 5
-		}
-		c.pol = &resilience.Policy{
-			Name:        "twitter_client",
-			MaxAttempts: retries + 1,
-			BaseDelay:   10 * time.Millisecond,
-			MaxDelay:    c.maxBackoff(),
-			Breaker:     c.Breaker,
-			Metrics:     c.Metrics,
-			Sleep:       c.sleep,
+		if c.Retry.Metrics == nil {
+			c.Retry.Metrics = c.Metrics
 		}
 	})
-	return c.pol
+	return c.Retry
 }
 
-// getJSON performs a GET under the retry policy — 429s honour the
-// advertised reset, transient network errors and 5xx responses back off
+// getJSON performs a GET under the retry policy — 429s and sheds honour the
+// advertised wait, transient network errors and 5xx responses back off
 // exponentially — and decodes the response into out.
 func (c *Client) getJSON(ctx context.Context, path string, params url.Values, out any) error {
 	reg := obs.Or(c.Metrics)
@@ -153,25 +119,17 @@ func (c *Client) getJSON(ctx context.Context, path string, params url.Values, ou
 		if err != nil {
 			return fmt.Errorf("twitter client: %w", err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			wait := c.backoffFrom(resp)
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			reg.Counter("twitter_client_throttled_total", "endpoint", path).Inc()
-			reg.Histogram("twitter_client_backoff_seconds", obs.DefBuckets).ObserveDuration(wait)
-			return &APIError{Status: resp.StatusCode, Msg: "rate limited", Code: 88, Wait: wait}
-		}
 		if resp.StatusCode != http.StatusOK {
 			var ae apiError
 			_ = json.NewDecoder(resp.Body).Decode(&ae)
 			resp.Body.Close()
-			// A Retry-After on a 5xx is an overload shed: carry the hint so
-			// the retry policy backs off to it and the breaker ignores it.
-			wait := retryAfterWait(resp, c.maxBackoff())
-			if wait > 0 {
+			// A 429, or a Retry-After on a 5xx (an overload shed), is the
+			// server asking for backoff: the wait rides on the error.
+			se := resilience.ResponseError(resp)
+			if resilience.IsThrottle(se) {
 				reg.Counter("twitter_client_throttled_total", "endpoint", path).Inc()
 			}
-			return &APIError{Status: resp.StatusCode, Msg: ae.Error, Code: ae.Code, Wait: wait}
+			return &APIError{Status: se.Status, Msg: ae.Error, Code: ae.Code, Wait: se.Wait}
 		}
 		err = json.NewDecoder(resp.Body).Decode(out)
 		resp.Body.Close()
@@ -184,56 +142,6 @@ func (c *Client) getJSON(ctx context.Context, path string, params url.Values, ou
 		sp.Annotate("error", err.Error())
 	}
 	return err
-}
-
-func (c *Client) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return 2 * time.Second
-	}
-	return c.MaxBackoff
-}
-
-// retryAfterWait parses a Retry-After header (whole seconds) into the wait
-// it advertises, capped at maxB; zero when absent or malformed.
-func retryAfterWait(resp *http.Response, maxB time.Duration) time.Duration {
-	raw := resp.Header.Get("Retry-After")
-	if raw == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(raw)
-	if err != nil || secs <= 0 {
-		return 0
-	}
-	wait := time.Duration(secs) * time.Second
-	if wait > maxB {
-		wait = maxB
-	}
-	return wait
-}
-
-// backoffFrom derives the sleep until the advertised rate-limit reset: an
-// explicit Retry-After wins, else the X-RateLimit-Reset timestamp.
-func (c *Client) backoffFrom(resp *http.Response) time.Duration {
-	maxB := c.maxBackoff()
-	if wait := retryAfterWait(resp, maxB); wait > 0 {
-		return wait
-	}
-	raw := resp.Header.Get("X-RateLimit-Reset")
-	if raw == "" {
-		return maxB
-	}
-	unix, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return maxB
-	}
-	wait := time.Until(time.Unix(unix, 0))
-	if wait <= 0 {
-		wait = 10 * time.Millisecond
-	}
-	if wait > maxB {
-		wait = maxB
-	}
-	return wait
 }
 
 // UserShow fetches one account.

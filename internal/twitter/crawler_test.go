@@ -141,8 +141,8 @@ func TestCrawlerSurvivesRateLimits(t *testing.T) {
 	srv := httptest.NewServer(NewAPIServer(svc, ServerOptions{RESTLimit: 7, Window: 100 * time.Millisecond}))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
-	c.MaxBackoff = 120 * time.Millisecond
-	c.MaxRetries = 50
+	c.Retry.MaxDelay = 120 * time.Millisecond
+	c.Retry.MaxAttempts = 51
 	cr, _ := newCrawler(t, c)
 	res, err := cr.Run(context.Background(), seed)
 	if err != nil {
@@ -204,8 +204,8 @@ func TestCrawlerCrashMidUserLeavesNoPartialState(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	c := NewClient(srv.URL)
-	c.MaxBackoff = 20 * time.Millisecond
-	c.MaxRetries = 3
+	c.Retry.MaxDelay = 20 * time.Millisecond
+	c.Retry.MaxAttempts = 4
 	cr, st := newCrawler(t, c)
 	if _, err := cr.Run(ctx, seed); err == nil {
 		t.Fatal("crashed run must return an error")
@@ -257,8 +257,8 @@ func TestCrawlerQuarantinesPoisonedUser(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	c := NewClient(srv.URL)
-	c.MaxBackoff = 10 * time.Millisecond
-	c.MaxRetries = 1
+	c.Retry.MaxDelay = 10 * time.Millisecond
+	c.Retry.MaxAttempts = 2
 	cr, st := newCrawler(t, c)
 	reg := obs.NewRegistry()
 	cr.Metrics = reg

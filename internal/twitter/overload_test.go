@@ -10,7 +10,6 @@ import (
 
 	"stir/internal/obs"
 	"stir/internal/overload"
-	"stir/internal/resilience"
 )
 
 // newTestService builds a tiny populated service for overload tests.
@@ -30,8 +29,8 @@ func newOverloadService(t *testing.T) *Service {
 // TestClientRidesOutServerSheds is the end-to-end overload contract between
 // the STIR client and a shedding server: the server rejects with
 // 503 + Retry-After, the client backs off to exactly the advertised hint,
-// the request eventually succeeds, and the client's breaker never trips —
-// sheds are backpressure, not failures.
+// the request eventually succeeds, and the sheds count as throttles —
+// backpressure, not failures.
 func TestClientRidesOutServerSheds(t *testing.T) {
 	svc := newOverloadService(t)
 	api := NewAPIServer(svc, ServerOptions{})
@@ -52,12 +51,10 @@ func TestClientRidesOutServerSheds(t *testing.T) {
 	defer ts.Close()
 
 	reg := obs.NewRegistry()
-	br := resilience.NewBreaker("twitter", resilience.BreakerOptions{FailureThreshold: 2, Metrics: reg})
 	c := NewClient(ts.URL)
-	c.Breaker = br
 	c.Metrics = reg
 	var slept []time.Duration
-	c.sleep = func(_ context.Context, d time.Duration) error {
+	c.Retry.Sleep = func(_ context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
 	}
@@ -70,16 +67,12 @@ func TestClientRidesOutServerSheds(t *testing.T) {
 		t.Fatalf("got user %q", u.ScreenName)
 	}
 
-	// Two sheds at threshold 2 would have opened the breaker if they fed it.
-	if got := br.State(); got != resilience.StateClosed {
-		t.Fatalf("breaker state after sheds = %v, want closed", got)
-	}
 	if m, ok := reg.Snapshot().Get("resilience_throttled_total", "policy", "twitter_client"); !ok || m.Value != 2 {
 		t.Fatalf("resilience_throttled_total = %+v ok=%v, want 2", m, ok)
 	}
 
-	// The client backed off to the server's 1s hint (capped at MaxBackoff
-	// 2s), not its own 10ms exponential ladder.
+	// The client backed off to the server's 1s hint (capped at the policy's
+	// 2s MaxDelay), not its own 10ms exponential ladder.
 	if len(slept) != 2 {
 		t.Fatalf("slept %d times, want 2 (one per shed)", len(slept))
 	}

@@ -14,8 +14,8 @@ func startAPI(t *testing.T, svc *Service, opts ServerOptions) (*httptest.Server,
 	srv := httptest.NewServer(NewAPIServer(svc, opts))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
-	c.MaxBackoff = 50 * time.Millisecond
-	c.MaxRetries = 50
+	c.Retry.MaxDelay = 50 * time.Millisecond
+	c.Retry.MaxAttempts = 51
 	return srv, c
 }
 

@@ -30,15 +30,16 @@ vet:
 # Race-check the packages that share metric registries or read-only indexes
 # (the gazetteer's name index behind textnorm) across goroutines.
 race:
-	$(GO) test -race ./internal/textnorm/... ./internal/obs/... ./internal/resilience/... ./internal/twitter/... ./internal/geocode/... ./internal/geofast/... ./internal/pipeline/... ./internal/storage/... ./internal/ratelimit/... ./internal/stream/... ./internal/overload/... ./internal/daemon/... ./internal/logx ./internal/leaktest ./internal/cluster/... ./cmd/stir/...
+	$(GO) test -race ./internal/textnorm/... ./internal/obs/... ./internal/resilience/... ./internal/twitter/... ./internal/geocode/... ./internal/pipeline/... ./internal/storage/... ./internal/ratelimit/... ./internal/stream/... ./internal/overload/... ./internal/daemon/... ./internal/logx ./internal/leaktest ./internal/cluster/... ./cmd/stir/...
 
 verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz bench-test
 
 # Short coverage-guided fuzzing of the decoders that read wire bytes
 # (geocode XML, the cluster's binary forward and summaries frames, the
 # traceparent header every daemon reads), of the
-# profile-location classifier against its reference and of the §IV summary
-# against Analyze and a math/big sum, one target per line (go test -fuzz
+# profile-location classifier against its reference, of the §IV summary
+# against Analyze and a math/big sum, and of the gazetteer's district index
+# against a linear scan, one target per line (go test -fuzz
 # takes one target at a time, so each pattern is anchored). Seeds live
 # under each package's testdata/fuzz; a crasher is written there too.
 fuzz:
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeUserState$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run xxx -fuzz '^FuzzTraceparent$$' -fuzztime 10s ./internal/obs/trace/
+	$(GO) test -run xxx -fuzz '^FuzzResolvePoint$$' -fuzztime 10s ./internal/admin/
 
 # Run the deterministic fault-injection suite (retries under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race
@@ -120,12 +122,11 @@ bench-cluster:
 	$(GO) test -run xxx -bench BenchmarkClusterIngest -benchtime 1s ./internal/cluster/
 	$(GO) test -run xxx -bench BenchmarkClusterScatterGroups -benchtime 300x ./internal/cluster/
 
-# Reverse-geocoding grid micro-benchmarks: the compiled cell grid behind `geocoded -fast` (bulk and single-point hot paths)
-# against the R-tree walk the in-process resolver runs, plus the grid's compile cost. Floor: >=10M points/sec, 0 allocs/op
-# on ResolveBulk. Then the request level: 100-point /v1/reverse_batch bodies through geocoded's handler, grid on and off;
+# Reverse-geocoding micro-benchmarks: one gazetteer walk per firehose-shaped point through the packed district index
+# (0 allocs/op on in-district and slack-fallback points); 100-point /v1/reverse_batch bodies through geocoded's handler;
 # and the in-process resolver's lock-free point table from every proc, hit-heavy and miss-heavy (0 allocs/op on both).
 bench-geocode:
-	$(GO) test -run xxx -bench 'BenchmarkGeofast|BenchmarkRTree' -benchtime 2s ./internal/geofast/
+	$(GO) test -run xxx -bench '^BenchmarkResolvePoint$$' -benchtime 2s ./internal/admin/
 	$(GO) test -run xxx -bench 'BenchmarkServerReverseBatch|BenchmarkDirectResolver' -benchtime 2s ./internal/geocode/
 
 # Offline continuous-profiling capture: run the sustained ingestion benchmark

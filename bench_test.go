@@ -18,9 +18,9 @@ import (
 	"stir/internal/admin"
 	"stir/internal/core"
 	"stir/internal/eventdetect"
+	"stir/internal/experiments"
 	"stir/internal/geo"
 	"stir/internal/geocode"
-	"stir/internal/gis"
 	"stir/internal/homeloc"
 	"stir/internal/obs"
 	"stir/internal/obs/trace"
@@ -330,25 +330,22 @@ func BenchmarkAblationGeocodeCache(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSpatialIndex compares point lookups across the three
-// index structures.
+// BenchmarkAblationSpatialIndex compares point resolution through the
+// gazetteer's packed index against a linear scan of its districts.
 func BenchmarkAblationSpatialIndex(b *testing.B) {
 	e := getEnv(b)
-	rt := gis.NewRTree()
-	grid := gis.NewGrid(e.gaz.Bounds(), 48, 48)
-	lin := gis.NewLinear()
-	for _, d := range e.gaz.Districts() {
-		it := gis.Item{Bounds: d.Bounds(), Value: d.ID()}
-		rt.Insert(it)
-		grid.Insert(it)
-		lin.Insert(it)
-	}
 	pts := e.geoPoints
-	for name, idx := range map[string]gis.Index{"rtree": rt, "grid": grid, "linear": lin} {
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		resolve func(geo.Point) *admin.District
+	}{
+		{"packed", func(p geo.Point) *admin.District { d, _ := e.gaz.ResolvePoint(p, 10); return d }},
+		{"linear", func(p geo.Point) *admin.District { return experiments.LinearResolvePoint(e.gaz, p, 10) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				if len(idx.SearchPoint(pts[i%len(pts)])) > 0 {
+				if bc.resolve(pts[i%len(pts)]) != nil {
 					hits++
 				}
 			}
@@ -471,7 +468,7 @@ func BenchmarkStoragePut(b *testing.B) {
 	}
 }
 
-// BenchmarkGeocodeResolve times a gazetteer point resolution (R-tree path).
+// BenchmarkGeocodeResolve times a gazetteer point resolution (packed index path).
 func BenchmarkGeocodeResolve(b *testing.B) {
 	e := getEnv(b)
 	pts := e.geoPoints
@@ -509,31 +506,6 @@ func BenchmarkGeohashEncode(b *testing.B) {
 			b.Fatal("bad hash")
 		}
 	}
-}
-
-// BenchmarkRTreeBuild compares incremental insertion against STR bulk load
-// for the gazetteer-sized dataset.
-func BenchmarkRTreeBuild(b *testing.B) {
-	e := getEnv(b)
-	items := make([]gis.Item, 0, e.gaz.Len())
-	for _, d := range e.gaz.Districts() {
-		items = append(items, gis.Item{Bounds: d.Bounds(), Value: d.ID()})
-	}
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rt := gis.NewRTree()
-			for _, it := range items {
-				rt.Insert(it)
-			}
-		}
-	})
-	b.Run("str-bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if rt := gis.BulkLoadSTR(items, 4, 16); rt.Len() != len(items) {
-				b.Fatal("bad bulk load")
-			}
-		}
-	})
 }
 
 // BenchmarkStorageBatchCommit compares N separate puts against one batch.

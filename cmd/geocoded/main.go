@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	geocoded [-addr :8031] [-world] [-limit N] [-window 1h] [-slack 10] [-fast]
+//	geocoded [-addr :8031] [-world] [-limit N] [-window 1h] [-slack 10]
 //	         [-max-inflight N] [-queue-depth N] [-target-latency D] [-drain-timeout D]
 //	         [-fault-5xx R] [-fault-reset R] [-fault-timeout R] [-fault-corrupt R]
 //	         [-fault-slow R] [-fault-seed S]
@@ -49,7 +49,6 @@ func run() error {
 	limit := flag.Int("limit", 0, "requests per window (0 = unlimited)")
 	window := flag.Duration("window", time.Hour, "rate limit window")
 	slack := flag.Float64("slack", 10, "km of slack for nearest-district fallback (negative disables)")
-	fast := flag.Bool("fast", true, "compile the gazetteer into the geofast cell grid at startup (identical answers, memory-speed lookups)")
 	faults := daemon.FaultFlags(flag.CommandLine)
 	over := daemon.OverloadFlags(flag.CommandLine)
 	traces := daemon.TraceFlags(flag.CommandLine)
@@ -79,7 +78,6 @@ func run() error {
 		Limit:   *limit,
 		Window:  *window,
 		SlackKm: *slack,
-		Fast:    *fast,
 	})
 	if inj := faults().Injector(obs.Default); inj != nil {
 		stack.Mux.Handle("/", inj.Handler(api))

@@ -74,12 +74,6 @@ func (d *District) Bounds() geo.Rect {
 	return geo.RectAround(d.Center, d.RadiusKm)
 }
 
-// ContainsApprox reports whether p falls within the district's approximate
-// circular extent.
-func (d *District) ContainsApprox(p geo.Point) bool {
-	return d.Center.DistanceKm(p) <= d.RadiusKm
-}
-
 // NormalizeName lowercases, trims and collapses interior whitespace and
 // strips decorative punctuation; it is the canonical form for name lookups.
 func NormalizeName(s string) string {

@@ -1,6 +1,7 @@
 package admin
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
@@ -8,7 +9,6 @@ import (
 	"sort"
 
 	"stir/internal/geo"
-	"stir/internal/gis"
 )
 
 // Gazetteer indexes a set of districts for point and name lookups. Build it
@@ -18,7 +18,7 @@ type Gazetteer struct {
 	byID      map[string]*District
 	names     map[string]Name        // compiled name index, by normalised form
 	states    map[string][]*District // state name -> its counties
-	index     *gis.RTree
+	index     districtIndex
 	bounds    geo.Rect
 }
 
@@ -50,7 +50,6 @@ func NewGazetteer(districts []*District) (*Gazetteer, error) {
 		byID:   make(map[string]*District),
 		names:  make(map[string]Name),
 		states: make(map[string][]*District),
-		index:  gis.NewRTree(),
 	}
 	for _, d := range districts {
 		if d.RadiusKm <= 0 {
@@ -62,7 +61,6 @@ func NewGazetteer(districts []*District) (*Gazetteer, error) {
 		g.byID[d.ID()] = d
 		g.districts = append(g.districts, d)
 		g.states[d.State] = append(g.states[d.State], d)
-		g.index.Insert(gis.Item{Bounds: d.Bounds(), Value: d})
 		if len(g.districts) == 1 {
 			g.bounds = d.Bounds()
 		} else {
@@ -73,6 +71,7 @@ func NewGazetteer(districts []*District) (*Gazetteer, error) {
 	if err := g.indexStates(); err != nil {
 		return nil, err
 	}
+	g.index = newDistrictIndex(g.districts)
 	for form, n := range g.names {
 		n.Districts = slices.Clip(n.Districts)
 		g.names[form] = n
@@ -202,48 +201,33 @@ func (g *Gazetteer) ByID(id string) (*District, error) {
 
 // ResolvePoint returns the district containing p. When several approximate
 // extents overlap, the district whose centre is closest wins; when none
-// contains p, the nearest district within slackKm of its boundary is
-// returned. A negative slack disables the fallback.
+// contains p, the nearest district within slackKm of its boundary, among
+// the 8 whose bounding boxes lie nearest p, is returned. A negative slack
+// disables the fallback. An exact tie goes to the earlier district in
+// Districts(). Only a failed lookup allocates.
 func (g *Gazetteer) ResolvePoint(p geo.Point, slackKm float64) (*District, error) {
+	d, _, err := g.Locate(p, slackKm)
+	return d, err
+}
+
+// Locate is ResolvePoint that also reports how p matched: contained is
+// true when p lies inside the district's extent and false when the slack
+// fallback found it. One call gives what ResolvePoint(p, -1) and then
+// ResolvePoint(p, slackKm) would.
+func (g *Gazetteer) Locate(p geo.Point, slackKm float64) (d *District, contained bool, err error) {
 	if !p.Valid() {
-		return nil, fmt.Errorf("admin: invalid point %v", p)
+		return nil, false, fmt.Errorf("admin: invalid point %v", p)
 	}
-	// Districts overlap a handful deep at most: the buffer keeps the
-	// search, and with it an in-district answer, off the heap.
-	var buf [16]gis.Item
-	hits := g.index.AppendPoint(buf[:0], p)
-	var best *District
-	bestD := 0.0
-	for _, it := range hits {
-		d := it.Value.(*District)
-		dist := d.Center.DistanceKm(p)
-		if dist > d.RadiusKm {
-			continue // in the bounding box but outside the circular extent
-		}
-		if best == nil || dist < bestD {
-			best, bestD = d, dist
-		}
-	}
-	if best != nil {
-		return best, nil
+	if pos := g.index.containing(p); pos >= 0 {
+		return g.districts[pos], true, nil
 	}
 	if slackKm < 0 {
-		return nil, fmt.Errorf("%w: point %v", ErrNotFound, p)
+		return nil, false, fmt.Errorf("%w: point %v", ErrNotFound, p)
 	}
-	// Fallback: nearest few candidates by bounding box, then exact centre
-	// distance minus radius (distance to the approximate boundary).
-	cands := g.index.Nearest(p, 8)
-	for _, it := range cands {
-		d := it.Value.(*District)
-		over := d.Center.DistanceKm(p) - d.RadiusKm
-		if over <= slackKm && (best == nil || over < bestD) {
-			best, bestD = d, over
-		}
+	if pos := g.index.fallback(p, slackKm); pos >= 0 {
+		return g.districts[pos], false, nil
 	}
-	if best == nil {
-		return nil, fmt.Errorf("%w: point %v (slack %.1f km)", ErrNotFound, p, slackKm)
-	}
-	return best, nil
+	return nil, false, fmt.Errorf("%w: point %v (slack %.1f km)", ErrNotFound, p, slackKm)
 }
 
 // Lookup probes the compiled name index with an already normalised form, the
@@ -306,28 +290,29 @@ func (g *Gazetteer) RandomWeights() ([]*District, []float64) {
 }
 
 // NearestDistricts returns up to k districts ordered by centre distance
-// from p (the point may be anywhere).
+// from p (the point may be anywhere), chosen from the 2k whose bounding
+// boxes lie nearest p. An exact tie goes to the earlier district in
+// Districts().
 func (g *Gazetteer) NearestDistricts(p geo.Point, k int) []*District {
 	if k <= 0 {
 		return nil
 	}
-	items := g.index.Nearest(p, k*2) // overfetch: bbox order ≠ centre order
-	type cand struct {
-		d    *District
+	// Overfetch: box order is not centre order.
+	boxes := g.index.nearest(make([]boxCandidate, 0, min(2*k, g.Len())), p, 2*k)
+	type ranked struct {
 		dist float64
+		pos  int
 	}
-	cands := make([]cand, 0, len(items))
-	for _, it := range items {
-		d := it.Value.(*District)
-		cands = append(cands, cand{d, d.Center.DistanceKm(p)})
+	cands := make([]ranked, len(boxes))
+	for i, c := range boxes {
+		cands[i] = ranked{g.districts[c.pos].Center.DistanceKm(p), c.pos}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]*District, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, c.d)
+	slices.SortFunc(cands, func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.pos, b.pos))
+	})
+	out := make([]*District, min(k, len(cands)))
+	for i := range out {
+		out[i] = g.districts[cands[i].pos]
 	}
 	return out
 }

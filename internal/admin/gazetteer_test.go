@@ -118,13 +118,22 @@ func TestResolvePointMissAndSlack(t *testing.T) {
 	}
 }
 
-// TestResolvePointAllocs pins the in-district answer, the reverse
-// geocoder's miss path, to no allocation.
+// TestResolvePointAllocs pins the reverse geocoder's miss path to no
+// allocation, for an in-district point and for one the slack fallback
+// resolves.
 func TestResolvePointAllocs(t *testing.T) {
 	g := mustKorea(t)
-	p := geo.Point{Lat: 37.498, Lon: 127.028}
-	if n := testing.AllocsPerRun(100, func() { g.ResolvePoint(p, 10) }); n != 0 {
-		t.Fatalf("ResolvePoint: %v allocs, want 0", n)
+	jeju, err := g.ByID("KR/Jeju/Jeju-si")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []geo.Point{{Lat: 37.498, Lon: 127.028}, jeju.Center.Destination(0, jeju.RadiusKm+3)} {
+		if _, in, err := g.Locate(p, 10); err != nil || in != (i == 0) {
+			t.Fatalf("%v: contained=%v, err %v", p, in, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { g.ResolvePoint(p, 10) }); n != 0 {
+			t.Fatalf("ResolvePoint(%v): %v allocs, want 0", p, n)
+		}
 	}
 }
 

@@ -85,8 +85,8 @@ func (r Rect) Extend(p Point) Rect {
 	return r.Union(Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLon: p.Lon, MaxLon: p.Lon})
 }
 
-// Area returns the rectangle's area in square degrees; used as the R-tree
-// split heuristic, not as a physical area.
+// Area returns the rectangle's area in square degrees, not a physical
+// area.
 func (r Rect) Area() float64 {
 	if !r.Valid() {
 		return 0
@@ -109,7 +109,7 @@ func (r Rect) Center() Point {
 
 // DistanceSqDeg returns the squared degree-space distance from p to the
 // nearest point of r (zero if p is inside). Degree-space is fine for the
-// nearest-neighbour ordering the R-tree needs at city scale.
+// nearest-box ordering the gazetteer's district index needs at city scale.
 func (r Rect) DistanceSqDeg(p Point) float64 {
 	dLat := 0.0
 	switch {

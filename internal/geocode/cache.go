@@ -8,9 +8,7 @@ import (
 // lruCache is a fixed-capacity least-recently-used cache. It exists because
 // reverse-geocoding the same quantised coordinate repeatedly would burn the
 // metered API budget: GPS tweets cluster in a few districts, so the hit rate
-// is high. Both users key it by geo.Point: the client caches Locations under
-// the quantised point, the server memoises whole resolutions (location plus
-// match quality) under the point it was asked.
+// is high. The client caches Locations under the quantised point.
 type lruCache[K comparable, V any] struct {
 	mu        sync.Mutex
 	cap       int

@@ -189,9 +189,9 @@ type Resolver interface {
 }
 
 // StatsProvider is the one shape every cache-bearing geocode component
-// exposes — the HTTP client, the in-process DirectResolver, and the server's
-// resolution memo — so ablations and dashboards read a single struct
-// regardless of which path resolved the points.
+// exposes — the HTTP client and the in-process DirectResolver — so
+// ablations and dashboards read a single struct regardless of which path
+// resolved the points.
 type StatsProvider interface {
 	Stats() CacheStats
 }
@@ -199,7 +199,6 @@ type StatsProvider interface {
 var (
 	_ StatsProvider = (*Client)(nil)
 	_ StatsProvider = (*DirectResolver)(nil)
-	_ StatsProvider = (*Server)(nil)
 )
 
 // RegisterCacheMetrics publishes p's cache counters on reg as pull-mode

@@ -10,7 +10,6 @@ import (
 
 	"stir/internal/admin"
 	"stir/internal/geo"
-	"stir/internal/geofast"
 	"stir/internal/obs"
 	"stir/internal/ratelimit"
 )
@@ -19,8 +18,7 @@ import (
 //
 //	GET /v1/reverse?lat=37.517&lon=126.866
 //
-// responding with a ResultSet XML document. Resolutions are memoised in an
-// LRU keyed on the exact coordinates, so hot districts cost one gazetteer
+// responding with a ResultSet XML document. Each point costs one gazetteer
 // walk; request counts, latencies and throttle rejections are published on
 // the configured metrics registry.
 type Server struct {
@@ -29,15 +27,6 @@ type Server struct {
 	slackKm float64
 	mux     *http.ServeMux
 	handler http.Handler
-	memo    *lruCache[geo.Point, resolution]
-	grid    *geofast.Grid
-}
-
-// resolution is one memoised gazetteer answer.
-type resolution struct {
-	loc     Location
-	quality string
-	found   bool
 }
 
 // ServerOptions configures a Server.
@@ -50,16 +39,9 @@ type ServerOptions struct {
 	// still resolve to the nearest district (default 10 km; negative
 	// disables nearest-match fallback).
 	SlackKm float64
-	// CacheSize bounds the resolution memo (default 65536; negative
-	// disables memoisation).
-	CacheSize int
-	// Metrics receives the server's request/cache series (nil means
+	// Metrics receives the server's request series (nil means
 	// obs.Default; obs.Discard disables).
 	Metrics *obs.Registry
-	// Fast compiles the gazetteer into a geofast cell grid at startup so
-	// most points resolve without a gazetteer walk or memo probe. Results
-	// are identical either way; boundary cells still take the exact path.
-	Fast bool
 }
 
 // NewServer builds a reverse-geocoding server over the gazetteer.
@@ -70,32 +52,16 @@ func NewServer(gaz *admin.Gazetteer, opts ServerOptions) *Server {
 	if opts.SlackKm == 0 {
 		opts.SlackKm = 10
 	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 65536
-	}
 	s := &Server{
 		gaz:     gaz,
 		limiter: ratelimit.New(opts.Limit, opts.Window),
 		slackKm: opts.SlackKm,
 		mux:     http.NewServeMux(),
 	}
-	if opts.CacheSize > 0 {
-		s.memo = newLRUCache[geo.Point, resolution](opts.CacheSize)
-	}
 	s.mux.HandleFunc("/v1/reverse", s.handleReverse)
 	s.mux.HandleFunc("/v1/reverse_batch", s.handleReverseBatch)
 	reg := obs.Or(opts.Metrics)
 	s.handler = obs.InstrumentHandler(reg, "geocoded", s.route, s.mux)
-	RegisterCacheMetrics(reg, "geocoded", s)
-	if opts.Fast {
-		// Grid compilation is best-effort: on a gazetteer the grid cannot
-		// encode (e.g. >65534 districts) the server just keeps the exact
-		// memoised path.
-		if grid, err := geofast.Compile(gaz, geofast.Options{SlackKm: s.slackKm}); err == nil {
-			s.grid = grid
-			geofast.RegisterMetrics(reg, "geocoded", grid)
-		}
-	}
 	return s
 }
 
@@ -105,14 +71,6 @@ func (s *Server) route(r *http.Request) string {
 		return pattern
 	}
 	return "unmatched"
-}
-
-// Stats implements StatsProvider over the server's resolution memo.
-func (s *Server) Stats() CacheStats {
-	if s.memo == nil {
-		return CacheStats{}
-	}
-	return s.memo.Stats()
 }
 
 // ServeHTTP implements http.Handler.
@@ -143,54 +101,19 @@ func (s *Server) allow(w http.ResponseWriter) bool {
 	return ok
 }
 
-// resolve answers one point: the compiled grid first when present (constant
-// and no-match cells skip both the memo and the gazetteer), then the memo,
-// then the exact gazetteer walk.
-func (s *Server) resolve(p geo.Point) resolution {
-	if s.grid != nil {
-		switch d, v := s.grid.Lookup(p.Lat, p.Lon); v {
-		case geofast.Constant:
-			// The point is proven to resolve by containment, so the
-			// slack-free phase-1 walk would return d: quality "exact".
-			return resolution{
-				loc:     Location{Country: d.Country, State: d.State, County: d.County},
-				quality: "exact",
-				found:   true,
-			}
-		case geofast.Nearest:
-			// Proven to miss phase 1 and win the slack fallback on d.
-			return resolution{
-				loc:     Location{Country: d.Country, State: d.State, County: d.County},
-				quality: "nearest",
-				found:   true,
-			}
-		case geofast.NoMatch:
-			return resolution{quality: "none"}
-		}
-		// Boundary: fall through to the exact memoised path.
+// resolve answers one point with one gazetteer walk. Its quality is
+// "exact" when p lies inside the district's extent, "nearest" when the
+// slack fallback found it and "none" when nothing did.
+func (s *Server) resolve(p geo.Point) Result {
+	d, contained, err := s.gaz.Locate(p, s.slackKm)
+	switch {
+	case err != nil:
+		return Result{Quality: "none"}
+	case contained:
+		return Result{Quality: "exact", Location: locationOf(d)}
+	default:
+		return Result{Quality: "nearest", Location: locationOf(d)}
 	}
-	if s.memo != nil {
-		if res, ok := s.memo.Get(p); ok {
-			return res
-		}
-	}
-	res := resolution{quality: "none"}
-	d, err := s.gaz.ResolvePoint(p, -1)
-	if err == nil {
-		res.quality = "exact"
-	} else if s.slackKm >= 0 {
-		if d, err = s.gaz.ResolvePoint(p, s.slackKm); err == nil {
-			res.quality = "nearest"
-		}
-	}
-	if err == nil && d != nil {
-		res.found = true
-		res.loc = Location{Country: d.Country, State: d.State, County: d.County}
-	}
-	if s.memo != nil {
-		s.memo.Put(p, res)
-	}
-	return res
 }
 
 func (s *Server) handleReverse(w http.ResponseWriter, r *http.Request) {
@@ -209,14 +132,11 @@ func (s *Server) handleReverse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := s.resolve(p)
-	if !res.found {
+	if res.Quality == "none" {
 		writeXML(w, http.StatusNotFound, &ResultSet{Error: CodeNoMatch, Message: "no district near point"})
 		return
 	}
-	writeXML(w, http.StatusOK, &ResultSet{
-		Error:   CodeOK,
-		Results: []Result{{Quality: res.quality, Location: res.loc}},
-	})
+	writeXML(w, http.StatusOK, &ResultSet{Error: CodeOK, Results: []Result{res}})
 }
 
 // maxBatchPoints bounds one reverse_batch request, like real metered APIs.
@@ -265,12 +185,7 @@ func (s *Server) handleReverseBatch(w http.ResponseWriter, r *http.Request) {
 			writeXML(w, http.StatusBadRequest, &ResultSet{Error: CodeBadRequest, Message: "invalid coordinates in batch"})
 			return
 		}
-		res := s.resolve(p)
-		out := Result{Quality: res.quality}
-		if res.found {
-			out.Location = res.loc
-		}
-		rs.Results = append(rs.Results, out)
+		rs.Results = append(rs.Results, s.resolve(p))
 	}
 	writeXML(w, http.StatusOK, rs)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,38 +14,64 @@ import (
 
 	"stir/internal/admin"
 	"stir/internal/geo"
+	"stir/internal/obs"
 )
 
-// TestServerFastMatchesExact pins the geocoded fast path: a Fast server and
-// an exact server answer byte-identical XML (quality attribute included) on
-// a sweep covering constant, single-check, boundary and no-match cells.
-func TestServerFastMatchesExact(t *testing.T) {
+// twoCallQuality is the reference quality rule: "exact" if
+// ResolvePoint(p, -1) finds a district, else "nearest" if
+// ResolvePoint(p, slackKm) does, else "none".
+func twoCallQuality(gaz *admin.Gazetteer, p geo.Point, slackKm float64) Result {
+	if d, err := gaz.ResolvePoint(p, -1); err == nil {
+		return Result{Quality: "exact", Location: locationOf(d)}
+	}
+	if slackKm >= 0 {
+		if d, err := gaz.ResolvePoint(p, slackKm); err == nil {
+			return Result{Quality: "nearest", Location: locationOf(d)}
+		}
+	}
+	return Result{Quality: "none"}
+}
+
+// TestServerQualityMatchesTwoCallRule: the server's one walk per point
+// gives the two-call rule's answer, quality included, on seeded points over
+// and past the extent, every district's box corners and circular edge, the
+// Seoul seam band and lattice, far misses and NaN, at every slack setting.
+func TestServerQualityMatchesTwoCallRule(t *testing.T) {
 	gaz, err := admin.NewKoreaGazetteer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := httptest.NewServer(NewServer(gaz, ServerOptions{}))
-	t.Cleanup(exact.Close)
-	fast := httptest.NewServer(NewServer(gaz, ServerOptions{Fast: true}))
-	t.Cleanup(fast.Close)
-
+	ext := gaz.Bounds()
+	dLat, dLon := ext.MaxLat-ext.MinLat, ext.MaxLon-ext.MinLon
 	rng := rand.New(rand.NewSource(23))
-	type probe struct{ lat, lon float64 }
-	probes := []probe{
-		{37.5665, 126.9780}, // Seoul (constant)
-		{37.5, 131.9},       // open sea within extent margin
-		{38.61, 128.36},     // coast north-east
+	pts := []geo.Point{
+		{Lat: 37.5665, Lon: 126.9780}, {Lat: 37.5, Lon: 131.9}, {Lat: 38.61, Lon: 128.36},
+		{Lat: ext.MinLat, Lon: ext.MinLon}, {Lat: ext.MaxLat, Lon: ext.MaxLon},
+		{Lat: 0, Lon: -150}, {Lat: -89, Lon: 10}, {Lat: math.NaN(), Lon: 127},
 	}
-	for i := 0; i < 400; i++ {
-		probes = append(probes, probe{33 + rng.Float64()*6.5, 124.5 + rng.Float64()*7})
+	for i := 0; i < 2000; i++ {
+		pts = append(pts,
+			geo.Point{Lat: ext.MinLat - 0.1*dLat + rng.Float64()*1.2*dLat, Lon: ext.MinLon - 0.1*dLon + rng.Float64()*1.2*dLon},
+			geo.Point{Lat: 37.4 + rng.Float64()*0.3, Lon: 126.8 + rng.Float64()*0.3})
 	}
-	// Seoul seam band: the densest boundary cells.
-	for i := 0; i < 200; i++ {
-		probes = append(probes, probe{37.4 + rng.Float64()*0.3, 126.8 + rng.Float64()*0.3})
+	for _, d := range gaz.Districts() {
+		b := d.Bounds()
+		pts = append(pts, geo.Point{Lat: b.MinLat, Lon: b.MinLon}, geo.Point{Lat: b.MaxLat, Lon: b.MaxLon})
+		for bearing := 0.0; bearing < 360; bearing += 90 {
+			pts = append(pts, d.Center.Destination(bearing, d.RadiusKm), d.Center.Destination(bearing, d.RadiusKm+5))
+		}
 	}
-	for _, p := range probes {
-		if e, f := getReverse(t, exact.URL, p.lat, p.lon), getReverse(t, fast.URL, p.lat, p.lon); e != f {
-			t.Fatalf("point (%v, %v):\nexact: %s\nfast:  %s", p.lat, p.lon, e, f)
+	for lat := 37.45; lat <= 37.65; lat += 0.002 {
+		for lon := 126.85; lon <= 127.05; lon += 0.002 {
+			pts = append(pts, geo.Point{Lat: lat, Lon: lon})
+		}
+	}
+	for _, slack := range []float64{10, 2, -1} {
+		srv := NewServer(gaz, ServerOptions{SlackKm: slack, Metrics: obs.Discard})
+		for _, p := range pts {
+			if got, want := srv.resolve(p), twoCallQuality(gaz, p, slack); got != want {
+				t.Fatalf("slack %v, point %v: one walk %+v, two calls %+v", slack, p, got, want)
+			}
 		}
 	}
 }
@@ -101,23 +128,24 @@ func straddle(t *testing.T, gaz *admin.Gazetteer) (p1, p2 geo.Point) {
 	return
 }
 
-// TestServerMemoKeysExactPoint: the resolution memo keys the point it was
-// asked, not its six-decimal text, so two points that print alike but lie
-// on either side of a district edge each get their own answer — byte for
-// byte what a server without a memo says.
-func TestServerMemoKeysExactPoint(t *testing.T) {
+// TestServerAnswersExactPoint: the server resolves the point it was asked,
+// not its six-decimal text, so two points that print alike but lie on
+// either side of a district edge each get their own answer.
+func TestServerAnswersExactPoint(t *testing.T) {
 	gaz, err := admin.NewKoreaGazetteer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := httptest.NewServer(NewServer(gaz, ServerOptions{}))
-	t.Cleanup(memo.Close)
-	bare := httptest.NewServer(NewServer(gaz, ServerOptions{CacheSize: -1}))
-	t.Cleanup(bare.Close)
+	srv := httptest.NewServer(NewServer(gaz, ServerOptions{Metrics: obs.Discard}))
+	t.Cleanup(srv.Close)
 	p1, p2 := straddle(t, gaz)
 	for _, p := range []geo.Point{p1, p2} {
-		if m, b := getReverse(t, memo.URL, p.Lat, p.Lon), getReverse(t, bare.URL, p.Lat, p.Lon); m != b {
-			t.Fatalf("point (%v, %v):\nmemo: %s\nbare: %s", p.Lat, p.Lon, m, b)
+		rs, err := UnmarshalResultSet([]byte(getReverse(t, srv.URL, p.Lat, p.Lon)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := twoCallQuality(gaz, p, 10); len(rs.Results) != 1 || rs.Results[0] != want {
+			t.Fatalf("point (%v, %v): %+v, want %+v", p.Lat, p.Lon, rs.Results, want)
 		}
 	}
 }

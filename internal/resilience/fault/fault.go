@@ -1,11 +1,11 @@
 // Package fault is STIR's deterministic fault-injection harness. A seeded
 // Injector rolls one die per operation and injects timeouts, 5xx responses,
 // connection resets or corrupt payloads at configured rates, through
-// wrappers for the three seams faults enter the system: an
-// http.RoundTripper (client side), an http.Handler (server side), a
-// geocode.Resolver and a storage-shaped key-value store. Because the roll
-// sequence is seeded, every chaos test replays the exact same fault
-// schedule — a failing run is reproducible with nothing but its seed.
+// wrappers for the seams faults enter the system: an http.RoundTripper
+// (client side), an http.Handler (server side) and a geocode.Resolver;
+// storage faults are vfs.Fault's job. Because the roll sequence is seeded,
+// every chaos test replays the exact same fault schedule — a failing run is
+// reproducible with nothing but its seed.
 //
 // Injections are counted in fault_injected_total{kind=...} so a chaos run's
 // metrics show what was thrown at the system alongside how it coped.
@@ -52,7 +52,7 @@ type Rates struct {
 	// Reset injects a connection reset.
 	Reset float64
 	// Corrupt injects a garbage payload (client/server) or a permanent
-	// decode-style error (resolver/store).
+	// decode-style error (resolver).
 	Corrupt float64
 	// Slow injects pure latency (SlowBy) and then lets the operation
 	// succeed — the overload-chaos spike shape: the upstream is alive but
@@ -322,66 +322,4 @@ func (r *resolver) Reverse(ctx context.Context, p geo.Point) (geocode.Location, 
 		return geocode.Location{}, &Err{Kind: k}
 	}
 	return r.next.Reverse(ctx, p)
-}
-
-// KV is the storage.Store surface faults are injected into; *storage.Store
-// satisfies it.
-type KV interface {
-	Put(key string, val []byte) error
-	Get(key string) ([]byte, error)
-	Has(key string) bool
-	Delete(key string) error
-}
-
-// Store wraps a KV with injection: transient and 5xx kinds fail the
-// operation with an injected error, corrupt garbles the bytes a Get
-// returns (Put stays honest — corrupting writes would poison the store
-// beyond what a retry can fix).
-func (i *Injector) Store(next KV) KV { return &store{inj: i, next: next} }
-
-type store struct {
-	inj  *Injector
-	next KV
-}
-
-func (s *store) Put(key string, val []byte) error {
-	if k, ok := s.inj.roll(); ok && k != KindCorrupt {
-		if k == KindSlow {
-			s.inj.slow(context.Background())
-			return s.next.Put(key, val)
-		}
-		return &Err{Kind: k}
-	}
-	return s.next.Put(key, val)
-}
-
-func (s *store) Get(key string) ([]byte, error) {
-	k, ok := s.inj.roll()
-	if !ok {
-		return s.next.Get(key)
-	}
-	if k == KindSlow {
-		s.inj.slow(context.Background())
-		return s.next.Get(key)
-	}
-	if k == KindCorrupt {
-		val, err := s.next.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		return []byte("\x00\xff<corrupt/>{{{" + string(val[:0])), nil
-	}
-	return nil, &Err{Kind: k}
-}
-
-func (s *store) Has(key string) bool { return s.next.Has(key) }
-func (s *store) Delete(key string) error {
-	if k, ok := s.inj.roll(); ok && k != KindCorrupt {
-		if k == KindSlow {
-			s.inj.slow(context.Background())
-			return s.next.Delete(key)
-		}
-		return &Err{Kind: k}
-	}
-	return s.next.Delete(key)
 }

@@ -15,7 +15,6 @@ import (
 	"stir/internal/geocode"
 	"stir/internal/obs"
 	"stir/internal/resilience"
-	"stir/internal/storage"
 )
 
 func TestRollDeterministic(t *testing.T) {
@@ -180,34 +179,6 @@ func TestResolverInjects(t *testing.T) {
 	loc, err := clean.Reverse(context.Background(), geo.Point{Lat: 37.57, Lon: 126.98})
 	if err != nil || loc.County != "Jongno-gu" {
 		t.Fatalf("pass-through = %+v, %v", loc, err)
-	}
-}
-
-func TestStoreInjects(t *testing.T) {
-	st, err := storage.Open(t.TempDir(), storage.Options{Metrics: obs.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	if err := st.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	flaky := New(1, Rates{Reset: 1}, obs.Discard).Store(st)
-	if err := flaky.Put("k2", []byte("v2")); err == nil {
-		t.Fatal("want injected put error")
-	}
-	if _, err := flaky.Get("k"); err == nil {
-		t.Fatal("want injected get error")
-	}
-	if !flaky.Has("k") {
-		t.Fatal("Has passes through")
-	}
-
-	clean := New(1, Rates{}, obs.Discard).Store(st)
-	v, err := clean.Get("k")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("pass-through Get = %q, %v", v, err)
 	}
 }
 

@@ -169,8 +169,8 @@ func TestStreamCheckpointResumeMatchesBatch(t *testing.T) {
 
 // TestStreamHTTPGeocodeMatchesBatch is the cross-daemon geocode
 // differential: a shuffled firehose drained through an engine on the HTTP
-// client against a Fast geocoded server must produce groupings and analysis
-// byte-for-byte equal to the batch pipeline's in-process R-tree path.
+// client against a geocoded server must produce groupings and analysis
+// byte-for-byte equal to the batch pipeline's in-process resolver path.
 func TestStreamHTTPGeocodeMatchesBatch(t *testing.T) {
 	ds := testDataset(t, 500, 13)
 	res, err := ds.Analyze(context.Background())
@@ -182,7 +182,7 @@ func TestStreamHTTPGeocodeMatchesBatch(t *testing.T) {
 		tweets[i], tweets[j] = tweets[j], tweets[i]
 	})
 
-	srv := httptest.NewServer(geocode.NewServer(ds.Gazetteer, geocode.ServerOptions{Fast: true}))
+	srv := httptest.NewServer(geocode.NewServer(ds.Gazetteer, geocode.ServerOptions{}))
 	defer srv.Close()
 	resolver := geocode.NewClient(srv.URL, 65536)
 	eng, err := New(Config{

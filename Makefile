@@ -36,7 +36,8 @@ verify: build vet test race crash cluster-chaos partition-chaos disk-chaos fuzz 
 
 # Short coverage-guided fuzzing of the decoders that read wire bytes
 # (geocode XML, the cluster's binary forward and summaries frames, the
-# traceparent header every daemon reads), of the
+# traceparent header every daemon reads, the sample stream's tweet lines
+# against encoding/json both ways), of the
 # profile-location classifier against its reference, of the §IV summary
 # against Analyze and a math/big sum, and of the gazetteer's district index
 # against a linear scan, one target per line (go test -fuzz
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzDecodeUserState$$' -fuzztime 10s ./internal/stream/
 	$(GO) test -run xxx -fuzz '^FuzzTraceparent$$' -fuzztime 10s ./internal/obs/trace/
 	$(GO) test -run xxx -fuzz '^FuzzResolvePoint$$' -fuzztime 10s ./internal/admin/
+	$(GO) test -run xxx -fuzz '^FuzzStreamLine$$' -fuzztime 10s ./internal/twitter/
 
 # Run the deterministic fault-injection suite (retries under injected
 # faults, degraded pipeline runs, flaky-crawl convergence) with the race
@@ -112,9 +114,11 @@ bench-obs:
 	$(GO) test -run xxx -bench BenchmarkObsOverhead -benchtime 10x .
 
 # Sustained live-ingestion throughput (the subsystem's floor is 100k
-# tweets/sec on 4 shards with zero drops).
+# tweets/sec on 4 shards with zero drops), and one tweet through the sample
+# stream's line codec (encode and fast-path decode).
 bench-stream:
 	$(GO) test -run xxx -bench BenchmarkStreamIngest -benchtime 2s ./internal/stream/
+	$(GO) test -run xxx -bench '^BenchmarkStreamLine$$' -benchtime 2s ./internal/twitter/
 
 # Routed-cluster micro-benchmarks: ingest throughput through the router's journal+forward path and /v1/groups
 # scatter-gather latency, each at 1, 2 and 4 workers (the scatter also at 2k and 20k users).

@@ -113,7 +113,7 @@ func TestNeighbors(t *testing.T) {
 			t.Fatal(err)
 		}
 		hb, _ := DecodeBounds(h)
-		if !hb.Intersects(nb) {
+		if hb.MinLat > nb.MaxLat || nb.MinLat > hb.MaxLat || hb.MinLon > nb.MaxLon || nb.MinLon > hb.MaxLon {
 			t.Fatalf("neighbour %q does not touch %q", n, h)
 		}
 	}

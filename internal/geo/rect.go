@@ -12,16 +12,6 @@ type Rect struct {
 	MaxLat, MaxLon float64
 }
 
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		MinLat: math.Min(a.Lat, b.Lat),
-		MinLon: math.Min(a.Lon, b.Lon),
-		MaxLat: math.Max(a.Lat, b.Lat),
-		MaxLon: math.Max(a.Lon, b.Lon),
-	}
-}
-
 // RectAround returns a rectangle roughly radiusKm around center. It is a
 // conservative (slightly over-sized) box suitable for index probes.
 func RectAround(center Point, radiusKm float64) Rect {
@@ -58,18 +48,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
 }
 
-// ContainsRect reports whether s lies fully inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return s.MinLat >= r.MinLat && s.MaxLat <= r.MaxLat &&
-		s.MinLon >= r.MinLon && s.MaxLon <= r.MaxLon
-}
-
-// Intersects reports whether r and s overlap (boundaries touching counts).
-func (r Rect) Intersects(s Rect) bool {
-	return r.MinLat <= s.MaxLat && s.MinLat <= r.MaxLat &&
-		r.MinLon <= s.MaxLon && s.MinLon <= r.MaxLon
-}
-
 // Union returns the smallest rectangle covering both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
@@ -92,14 +70,6 @@ func (r Rect) Area() float64 {
 		return 0
 	}
 	return (r.MaxLat - r.MinLat) * (r.MaxLon - r.MinLon)
-}
-
-// Margin returns half the perimeter in degrees.
-func (r Rect) Margin() float64 {
-	if !r.Valid() {
-		return 0
-	}
-	return (r.MaxLat - r.MinLat) + (r.MaxLon - r.MinLon)
 }
 
 // Center returns the rectangle's center point.

@@ -1,21 +1,11 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestNewRectOrdersCorners(t *testing.T) {
-	r := NewRect(Point{Lat: 5, Lon: 10}, Point{Lat: -5, Lon: -10})
-	want := Rect{MinLat: -5, MinLon: -10, MaxLat: 5, MaxLon: 10}
-	if r != want {
-		t.Fatalf("NewRect = %+v, want %+v", r, want)
-	}
-	if !r.Valid() {
-		t.Fatal("rect should be valid")
-	}
-}
 
 func TestRectContains(t *testing.T) {
 	r := Rect{MinLat: 0, MinLon: 0, MaxLat: 10, MaxLon: 10}
@@ -36,24 +26,15 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersectsAndUnion(t *testing.T) {
+func TestRectUnion(t *testing.T) {
 	a := Rect{MinLat: 0, MinLon: 0, MaxLat: 5, MaxLon: 5}
-	b := Rect{MinLat: 4, MinLon: 4, MaxLat: 8, MaxLon: 8}
-	c := Rect{MinLat: 6, MinLon: 6, MaxLat: 7, MaxLon: 7}
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Fatal("a/b should intersect")
+	b := Rect{MinLat: 4, MinLon: -2, MaxLat: 8, MaxLon: 3}
+	want := Rect{MinLat: 0, MinLon: -2, MaxLat: 8, MaxLon: 5}
+	if u := a.Union(b); u != want {
+		t.Fatalf("Union = %+v, want %+v", u, want)
 	}
-	if a.Intersects(c) {
-		t.Fatal("a/c should not intersect")
-	}
-	u := a.Union(b)
-	if !u.ContainsRect(a) || !u.ContainsRect(b) {
-		t.Fatalf("union %v does not cover inputs", u)
-	}
-	// Touching edges intersect.
-	d := Rect{MinLat: 5, MinLon: 0, MaxLat: 6, MaxLon: 5}
-	if !a.Intersects(d) {
-		t.Fatal("touching rects should intersect")
+	if u := b.Union(a); u != want {
+		t.Fatalf("Union = %+v, want %+v", u, want)
 	}
 }
 
@@ -80,10 +61,17 @@ func TestRectAroundContainsCircle(t *testing.T) {
 func TestUnionPropertyContainsBoth(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := NewRect(randPoint(r), randPoint(r))
-		b := NewRect(randPoint(r), randPoint(r))
+		span := func(p, q Point) Rect {
+			return Rect{MinLat: math.Min(p.Lat, q.Lat), MinLon: math.Min(p.Lon, q.Lon),
+				MaxLat: math.Max(p.Lat, q.Lat), MaxLon: math.Max(p.Lon, q.Lon)}
+		}
+		a := span(randPoint(r), randPoint(r))
+		b := span(randPoint(r), randPoint(r))
 		u := a.Union(b)
-		return u.ContainsRect(a) && u.ContainsRect(b) && u.Area() >= a.Area() && u.Area() >= b.Area()
+		covers := func(s Rect) bool {
+			return u.MinLat <= s.MinLat && u.MinLon <= s.MinLon && u.MaxLat >= s.MaxLat && u.MaxLon >= s.MaxLon
+		}
+		return covers(a) && covers(b) && u.Area() >= a.Area() && u.Area() >= b.Area()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -112,19 +100,16 @@ func TestDistanceSqDeg(t *testing.T) {
 	}
 }
 
-func TestAreaMarginCenter(t *testing.T) {
+func TestAreaCenter(t *testing.T) {
 	r := Rect{MinLat: 1, MinLon: 2, MaxLat: 3, MaxLon: 6}
 	if got := r.Area(); got != 8 {
 		t.Fatalf("Area = %v, want 8", got)
-	}
-	if got := r.Margin(); got != 6 {
-		t.Fatalf("Margin = %v, want 6", got)
 	}
 	if c := r.Center(); c.Lat != 2 || c.Lon != 4 {
 		t.Fatalf("Center = %v", c)
 	}
 	bad := Rect{MinLat: 3, MaxLat: 1}
-	if bad.Area() != 0 || bad.Margin() != 0 {
-		t.Fatal("invalid rect should have zero area/margin")
+	if bad.Area() != 0 {
+		t.Fatal("invalid rect should have zero area")
 	}
 }

@@ -278,34 +278,46 @@ func (c *Client) Stream(ctx context.Context, track string, fn func(*Tweet) bool)
 	if resp.StatusCode != http.StatusOK {
 		return &APIError{Status: resp.StatusCode, Msg: "stream refused"}
 	}
-	// Live streams carry the occasional garbage line — a truncated record
-	// from a dropped connection, a keep-alive, a control message the model
-	// doesn't know. One bad line must not kill the connection: skip it,
-	// count it (stream_decode_errors_total), keep reading. bufio.Scanner
-	// can't do this (ErrTooLong is fatal), so read lines by hand with the
-	// same 1 MiB cap, discarding the remainder of over-long lines.
-	reg := obs.Or(c.Metrics)
-	br := bufio.NewReaderSize(resp.Body, 64*1024)
+	return readStream(ctx, resp.Body, obs.Or(c.Metrics), fn)
+}
+
+// readStream delivers the tweets of a sample-stream body to fn. Live streams
+// carry the occasional garbage line — a truncated record from a dropped
+// connection, a keep-alive, a control message the model doesn't know. One
+// bad line must not kill the connection: skip it, count it
+// (stream_decode_errors_total), keep reading. bufio.Scanner can't do this
+// (ErrTooLong is fatal), so read lines by hand with the same 1 MiB cap,
+// discarding the remainder of over-long lines.
+//
+// A line in the shape the server writes decodes on parseTweetLine's path;
+// any other line is counted in stream_decode_fallback_total{reason} and
+// decoded by json.Unmarshal. A line that fits the read buffer is decoded
+// where it lies; only a longer one is gathered in line, which is reused.
+func readStream(ctx context.Context, body io.Reader, reg *obs.Registry, fn func(*Tweet) bool) error {
+	br := bufio.NewReaderSize(body, 64*1024)
 	var line []byte
 	tooLong := false
 	for {
 		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		switch {
-		case err == bufio.ErrBufferFull:
+		if err == bufio.ErrBufferFull {
+			line = append(line, chunk...)
 			if len(line) > maxStreamLine {
 				tooLong = true
 				line = line[:0]
 			}
 			continue
-		case err != nil && len(line) == 0:
+		}
+		full := chunk
+		if len(line) > 0 {
+			full = append(line, chunk...)
+			line = full[:0]
+		}
+		if err != nil && len(full) == 0 {
 			if err == io.EOF || ctx.Err() != nil {
 				return nil
 			}
 			return err
 		}
-		full := line
-		line = nil
 		if tooLong || len(full) > maxStreamLine {
 			tooLong = false
 			reg.Counter("stream_decode_errors_total", "reason", "too_long").Inc()
@@ -314,12 +326,17 @@ func (c *Client) Stream(ctx context.Context, track string, fn func(*Tweet) bool)
 			}
 			continue
 		}
-		full = bytes.TrimSpace(full)
-		if len(full) > 0 {
-			var t Tweet
-			if jerr := json.Unmarshal(full, &t); jerr != nil {
-				reg.Counter("stream_decode_errors_total", "reason", "bad_json").Inc()
-			} else if !fn(&t) {
+		if full = bytes.TrimSpace(full); len(full) > 0 {
+			t, reason := parseTweetLine(full)
+			if t == nil {
+				reg.Counter("stream_decode_fallback_total", "reason", reason).Inc()
+				t = new(Tweet)
+				if jerr := json.Unmarshal(full, t); jerr != nil {
+					reg.Counter("stream_decode_errors_total", "reason", "bad_json").Inc()
+					t = nil
+				}
+			}
+			if t != nil && !fn(t) {
 				return nil
 			}
 		}

@@ -285,19 +285,25 @@ func (s *APIServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 // handleSample streams newline-delimited tweet JSON until the client hangs
 // up, matching the statuses/sample streaming endpoint. The optional "track"
 // parameter filters by substring, approximating statuses/filter.
+//
+// Each wake-up writes and flushes once: the tweet that arrived and every
+// tweet already queued behind it, up to streamFlushBudget bytes, encoded
+// into one buffer the connection reuses. An idle stream therefore still
+// sends each tweet the moment it arrives, while a backlog goes out in
+// batches instead of one chunk and one write per tweet.
 func (s *APIServer) handleSample(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported", Code: 130})
 		return
 	}
-	track := r.URL.Query().Get("track")
+	needle := strings.ToLower(r.URL.Query().Get("track"))
 	ch, cancel := s.svc.OpenStream(1024)
 	defer cancel()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	enc := json.NewEncoder(w)
+	var buf []byte
 	for {
 		select {
 		case <-r.Context().Done():
@@ -306,13 +312,52 @@ func (s *APIServer) handleSample(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			if track != "" && !containsFold(t.Text, track) {
-				continue
+			var err error
+			buf, open, err = appendQueued(buf[:0], t, ch, needle)
+			if len(buf) > 0 {
+				if _, werr := w.Write(buf); werr != nil {
+					return
+				}
+				flusher.Flush()
 			}
-			if err := enc.Encode(t); err != nil {
+			if !open || err != nil {
 				return
 			}
-			flusher.Flush()
+		}
+	}
+}
+
+// streamFlushBudget bounds the bytes handleSample encodes from a backlog
+// before it flushes: enough for a few hundred tweets per write, little
+// enough that the first of them is not held back long.
+const streamFlushBudget = 64 << 10
+
+// appendQueued appends t, then each tweet already queued on ch, to dst as
+// stream lines, leaving out those whose text does not contain needle (a
+// lower-cased track filter; empty keeps all). It stops once dst holds
+// streamFlushBudget bytes or the queue is empty, and reports whether ch is
+// still open. A tweet that does not encode stops it with the encoder's
+// error; the lines before it stay in dst.
+func appendQueued(dst []byte, t *Tweet, ch <-chan *Tweet, needle string) ([]byte, bool, error) {
+	for {
+		if containsLower(t.Text, needle) {
+			b, err := AppendTweetJSON(dst, t)
+			if err != nil {
+				return dst, true, err
+			}
+			dst = append(b, '\n')
+		}
+		if len(dst) >= streamFlushBudget {
+			return dst, true, nil
+		}
+		select {
+		case next, open := <-ch:
+			if !open {
+				return dst, false, nil
+			}
+			t = next
+		default:
+			return dst, true, nil
 		}
 	}
 }
@@ -324,8 +369,11 @@ func (s *APIServer) handleSample(w http.ResponseWriter, r *http.Request) {
 // such as Hangul pass through ToLower untouched, so Korean district names
 // match exactly, and it is the same fold Service.Search applies.
 func containsFold(s, substr string) bool {
-	if substr == "" {
-		return true
-	}
-	return strings.Contains(strings.ToLower(s), strings.ToLower(substr))
+	return containsLower(s, strings.ToLower(substr))
+}
+
+// containsLower is containsFold with substr already lower-cased, so a
+// stream or a search lowers its filter once rather than once per tweet.
+func containsLower(s, lower string) bool {
+	return lower == "" || strings.Contains(strings.ToLower(s), lower)
 }

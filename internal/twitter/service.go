@@ -255,7 +255,7 @@ func (s *Service) Search(q SearchQuery) []*Tweet {
 		if q.OnlyGeo && t.Geo == nil {
 			continue
 		}
-		if needle != "" && !strings.Contains(strings.ToLower(t.Text), needle) {
+		if !containsLower(t.Text, needle) {
 			continue
 		}
 		out = append(out, t)

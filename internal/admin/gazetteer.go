@@ -206,8 +206,18 @@ func (g *Gazetteer) ByID(id string) (*District, error) {
 // disables the fallback. An exact tie goes to the earlier district in
 // Districts(). Only a failed lookup allocates.
 func (g *Gazetteer) ResolvePoint(p geo.Point, slackKm float64) (*District, error) {
-	d, _, err := g.Locate(p, slackKm)
-	return d, err
+	pos, err := g.ResolveIndex(p, slackKm)
+	if err != nil {
+		return nil, err
+	}
+	return g.districts[pos], nil
+}
+
+// ResolveIndex is ResolvePoint answering with the district's position in
+// Districts(), for callers that key their own tables by it.
+func (g *Gazetteer) ResolveIndex(p geo.Point, slackKm float64) (int, error) {
+	pos, _, err := g.locate(p, slackKm)
+	return pos, err
 }
 
 // Locate is ResolvePoint that also reports how p matched: contained is
@@ -215,19 +225,28 @@ func (g *Gazetteer) ResolvePoint(p geo.Point, slackKm float64) (*District, error
 // fallback found it. One call gives what ResolvePoint(p, -1) and then
 // ResolvePoint(p, slackKm) would.
 func (g *Gazetteer) Locate(p geo.Point, slackKm float64) (d *District, contained bool, err error) {
+	pos, contained, err := g.locate(p, slackKm)
+	if err != nil {
+		return nil, false, err
+	}
+	return g.districts[pos], contained, nil
+}
+
+// locate is Locate answering with a position in Districts().
+func (g *Gazetteer) locate(p geo.Point, slackKm float64) (pos int, contained bool, err error) {
 	if !p.Valid() {
-		return nil, false, fmt.Errorf("admin: invalid point %v", p)
+		return -1, false, fmt.Errorf("admin: invalid point %v", p)
 	}
 	if pos := g.index.containing(p); pos >= 0 {
-		return g.districts[pos], true, nil
+		return pos, true, nil
 	}
 	if slackKm < 0 {
-		return nil, false, fmt.Errorf("%w: point %v", ErrNotFound, p)
+		return -1, false, fmt.Errorf("%w: point %v", ErrNotFound, p)
 	}
 	if pos := g.index.fallback(p, slackKm); pos >= 0 {
-		return g.districts[pos], false, nil
+		return pos, false, nil
 	}
-	return nil, false, fmt.Errorf("%w: point %v (slack %.1f km)", ErrNotFound, p, slackKm)
+	return -1, false, fmt.Errorf("%w: point %v (slack %.1f km)", ErrNotFound, p, slackKm)
 }
 
 // Lookup probes the compiled name index with an already normalised form, the

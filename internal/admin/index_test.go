@@ -57,8 +57,8 @@ func linearNearestBoxes(g *Gazetteer, p geo.Point, k int) []*District {
 	return ds
 }
 
-// checkAgainstLinear fails t unless Locate and ResolvePoint give the
-// oracle's answer for p.
+// checkAgainstLinear fails t unless Locate, ResolvePoint and ResolveIndex
+// give the oracle's answer for p.
 func checkAgainstLinear(t *testing.T, g *Gazetteer, p geo.Point, slackKm float64) {
 	t.Helper()
 	want, wantIn := linearResolve(g, p, slackKm)
@@ -71,6 +71,10 @@ func checkAgainstLinear(t *testing.T, g *Gazetteer, p geo.Point, slackKm float64
 	}
 	if d, _ := g.ResolvePoint(p, slackKm); d != want {
 		t.Fatalf("ResolvePoint(%v, %v) = %v, linear oracle %v", p, slackKm, d, want)
+	}
+	pos, err := g.ResolveIndex(p, slackKm)
+	if (err == nil) != (want != nil) || (err == nil && g.Districts()[pos] != want) {
+		t.Fatalf("ResolveIndex(%v, %v) = %d, err %v; linear oracle %v", p, slackKm, pos, err, want)
 	}
 }
 

@@ -26,10 +26,9 @@ import (
 // decimals) and a point no district is near go straight to the gazetteer
 // and never enter the table.
 type DirectResolver struct {
-	gaz      *admin.Gazetteer
-	slackKm  float64
-	position map[*admin.District]uint64 // district -> its position in gaz.Districts() + 1
-	quant    int
+	gaz     *admin.Gazetteer
+	slackKm float64
+	quant   int
 
 	table []atomic.Uint64
 	shift uint // 64 - log2(len(table)): a hash's top bits pick the slot
@@ -54,21 +53,16 @@ func NewGazetteerResolver(gaz *admin.Gazetteer, slackKm float64, cacheSize int) 
 	if slackKm == 0 {
 		slackKm = 10
 	}
-	position := make(map[*admin.District]uint64, gaz.Len())
-	for i, d := range gaz.Districts() {
-		position[d] = uint64(i) + 1
-	}
 	slots := 1
 	if cacheSize > 1 {
 		slots = 1 << bits.Len(uint(cacheSize-1))
 	}
 	return &DirectResolver{
-		gaz:      gaz,
-		slackKm:  slackKm,
-		position: position,
-		quant:    3,
-		table:    make([]atomic.Uint64, slots),
-		shift:    uint(64 - bits.TrailingZeros(uint(slots))),
+		gaz:     gaz,
+		slackKm: slackKm,
+		quant:   3,
+		table:   make([]atomic.Uint64, slots),
+		shift:   uint(64 - bits.TrailingZeros(uint(slots))),
 	}
 }
 
@@ -89,19 +83,19 @@ func (d *DirectResolver) Reverse(_ context.Context, p geo.Point) (Location, erro
 		return locationOf(d.gaz.Districts()[w&posMask-1]), nil
 	}
 	d.misses.Add(1)
-	dist, err := d.gaz.ResolvePoint(q, d.slackKm)
+	pos, err := d.gaz.ResolveIndex(q, d.slackKm)
 	if err != nil {
 		return Location{}, fmt.Errorf("%w: %s", ErrNoMatch, p)
 	}
-	if pos := d.position[dist]; pos != 0 && pos <= posMask {
-		switch old := slot.Swap(key<<posBits | pos); {
+	if w := uint64(pos) + 1; w <= posMask {
+		switch old := slot.Swap(key<<posBits | w); {
 		case old == 0:
 			d.entries.Add(1)
 		case old>>posBits != key:
 			d.evictions.Add(1)
 		}
 	}
-	return locationOf(dist), nil
+	return locationOf(d.gaz.Districts()[pos]), nil
 }
 
 // pack returns the table key of a quantised point: its latitude and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"stir/internal/core"
@@ -16,10 +17,44 @@ import (
 
 // BenchmarkStreamIngest measures sustained ingestion on the default 4-shard
 // layout with no faults: pre-resolved profiles, a pre-warmed cache-shaped
-// resolver, and users spread across shards. The acceptance floor for this
-// subsystem is 100k tweets/sec with zero drops.
+// resolver, and users spread across shards. single is one producer, the
+// shape of Engine.Run and a replay driver; parallel is one producer per
+// proc, the shape of a cluster worker's per-connection ingest handlers.
+// The acceptance floor for this subsystem is 100k tweets/sec with zero
+// drops.
 func BenchmarkStreamIngest(b *testing.B) {
 	const users = 1024
+	tweets := make([]*twitter.Tweet, users)
+	for i := range tweets {
+		tweets[i] = geoTweet(int64(i), int64(i), float64(i%30))
+	}
+	b.Run("single", func(b *testing.B) {
+		eng := ingestEngine(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Ingest(tweets[i%users])
+		}
+		drainIngest(b, eng)
+	})
+	b.Run("parallel", func(b *testing.B) {
+		eng := ingestEngine(b)
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(next.Add(users / 4))
+			for pb.Next() {
+				eng.Ingest(tweets[i%users])
+				i++
+			}
+		})
+		drainIngest(b, eng)
+	})
+}
+
+// ingestEngine is BenchmarkStreamIngest's engine.
+func ingestEngine(b *testing.B) *Engine {
 	places := somePlaces(16)
 	profiles := func(_ context.Context, id twitter.UserID) (core.Place, bool, error) {
 		return places[int(id)%len(places)], true, nil
@@ -33,17 +68,14 @@ func BenchmarkStreamIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer eng.Close()
+	b.Cleanup(eng.Close)
+	return eng
+}
 
-	tweets := make([]*twitter.Tweet, users)
-	for i := range tweets {
-		tweets[i] = geoTweet(int64(i), int64(i), float64(i%30))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Ingest(tweets[i%users])
-	}
+// drainIngest stops BenchmarkStreamIngest's timer once every tweet is
+// applied, requires all b.N of them processed and none dropped, and
+// reports the rate.
+func drainIngest(b *testing.B, eng *Engine) {
 	eng.Drain()
 	b.StopTimer()
 	st := eng.Stats()

@@ -1,14 +1,18 @@
 // Package stream is STIR's live-ingestion subsystem: it consumes the
 // Streaming API (the access path of the paper's worldwide "Lady Gaga"
 // dataset, §IV) and keeps the §III grouping analysis continuously up to
-// date. Tweets fan out to user-hash-sharded workers over bounded channels;
-// each shard holds its users' incremental grouping state, so one tweet costs
-// O(k) for a user with k distinct districts (a find and a short move in a
-// slice kept in batch order) instead of a full re-analysis. The engine
-// reconnects through a resilience policy with exponential backoff,
-// checkpoints shard state atomically through internal/storage for
-// crash-safe resume, publishes stream_* metrics via internal/obs, and
-// answers live queries (per-group statistics, per-user
+// date. Tweets fan out to user-hash-sharded workers, each fed by a bounded
+// swap queue: producers append under one mutex and wake the worker only
+// when the queue turns non-empty, and the worker takes the whole pending
+// batch in one lock round trip. The worker still takes its shard's state
+// lock per tweet, so queries and checkpoints wait behind one tweet, never
+// behind a batch. Each shard holds its users' incremental grouping state,
+// so one tweet costs O(k) for a user with k distinct districts (a find and
+// a short move in a slice kept in batch order) instead of a full
+// re-analysis. The engine reconnects through a resilience policy with
+// exponential backoff, checkpoints shard state atomically through
+// internal/storage for crash-safe resume, publishes stream_* metrics via
+// internal/obs, and answers live queries (per-group statistics, per-user
 // group/rank/reliability-weight) over a small HTTP API.
 //
 // Correctness anchor: after draining any tweet sequence, Snapshot() and the
@@ -57,7 +61,10 @@ type Config struct {
 	// Shards is the worker count; tweets route by user-ID hash so one user's
 	// ordering is preserved (default 4).
 	Shards int
-	// Buffer is each shard's channel capacity (default 1024).
+	// Buffer bounds each shard's queue: at most Buffer messages (tweets
+	// and Drain barriers) wait in it (default 1024). The batch a worker has
+	// taken and is applying is outside the bound, so a shard holds up to
+	// 2×Buffer accepted tweets.
 	Buffer int
 	// DropWhenFull sheds load instead of blocking when a shard's queue is
 	// full; drops are counted per shard. Default false: Ingest blocks, which
@@ -103,18 +110,11 @@ type Source interface {
 	Stream(ctx context.Context, fn func(*twitter.Tweet) bool) error
 }
 
-// shardMsg is one queue element: a tweet, or a barrier the worker closes
-// when it reaches it (FIFO makes that a drain point).
-type shardMsg struct {
-	tweet   *twitter.Tweet
-	barrier chan struct{}
-}
-
 // shard owns a partition of the user space. The worker goroutine is the only
 // tweet processor; mu serialises it against snapshots and checkpoints.
 type shard struct {
 	id int
-	ch chan shardMsg
+	q  *queue
 
 	mu       sync.Mutex
 	users    map[twitter.UserID]*userState
@@ -167,7 +167,7 @@ func (sh *shard) repartition(n int) {
 }
 
 // Engine is the live ingestion engine. All methods are safe for concurrent
-// use; Close stops the workers (Ingest afterwards reports a drop).
+// use; Close stops the workers (Ingest afterwards refuses).
 type Engine struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -244,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			id:       i,
-			ch:       make(chan shardMsg, cfg.Buffer),
+			q:        newQueue(cfg.Buffer),
 			users:    make(map[twitter.UserID]*userState),
 			rejected: make(map[twitter.UserID]bool),
 			dirty:    make(map[twitter.UserID]bool),
@@ -326,7 +326,7 @@ func (e *Engine) registerGauges() {
 		sh := sh
 		lbl := strconv.Itoa(sh.id)
 		e.reg.GaugeFunc("stream_queue_depth", func() float64 {
-			return float64(len(sh.ch))
+			return float64(sh.q.len())
 		}, "shard", lbl)
 		e.reg.CounterFunc("stream_ingested_total", func() float64 {
 			return float64(sh.ingested.Load())
@@ -353,14 +353,8 @@ func (e *Engine) shardOf(id twitter.UserID) *shard {
 // accepted. With DropWhenFull it never blocks: a full shard queue counts a
 // drop. Otherwise it blocks — the backpressure that slows the stream
 // reader down to processing speed — failing only when the engine closes.
+// After Close it refuses every tweet.
 func (e *Engine) Ingest(t *twitter.Tweet) bool {
-	select {
-	case <-e.done:
-		// A closed engine refuses deterministically — without this check the
-		// select below could still win a buffered send.
-		return false
-	default:
-	}
 	sh := e.shardOf(t.UserID)
 	if e.CheckpointStalled() {
 		// Checkpoints are deferred on a full disk and the memory-only
@@ -379,26 +373,14 @@ func (e *Engine) Ingest(t *twitter.Tweet) bool {
 			}
 		}
 	}
-	msg := shardMsg{tweet: t}
-	if e.cfg.DropWhenFull {
-		select {
-		case sh.ch <- msg:
-			sh.ingested.Add(1)
-			return true
-		case <-e.done:
-			return false
-		default:
-			sh.drops.Add(1)
-			return false
-		}
-	}
-	select {
-	case sh.ch <- msg:
+	switch sh.q.push(shardMsg{tweet: t}, !e.cfg.DropWhenFull) {
+	case pushed:
 		sh.ingested.Add(1)
 		return true
-	case <-e.done:
-		return false
+	case pushFull:
+		sh.drops.Add(1)
 	}
+	return false
 }
 
 // SetCursor records an opaque source position (e.g. the cluster router's
@@ -483,18 +465,22 @@ func (e *Engine) noteDeferred() {
 	e.deferrals.Add(1)
 }
 
+// worker applies its shard's queue in batches, in queue order, until the
+// engine closes and every accepted message is applied.
 func (e *Engine) worker(sh *shard) {
 	defer e.wg.Done()
+	batch := make([]shardMsg, 0, sh.q.limit)
 	for {
-		select {
-		case <-e.done:
+		var ok bool
+		if batch, ok = sh.q.take(batch); !ok {
 			return
-		case msg := <-sh.ch:
-			if msg.barrier != nil {
-				close(msg.barrier)
+		}
+		for _, m := range batch {
+			if m.barrier != nil {
+				close(m.barrier)
 				continue
 			}
-			e.process(sh, msg.tweet)
+			e.process(sh, m.tweet)
 		}
 	}
 }
@@ -570,34 +556,31 @@ func (e *Engine) process(sh *shard, t *twitter.Tweet) {
 }
 
 // Drain blocks until every tweet enqueued before the call has been
-// processed: a barrier rides each shard's FIFO queue.
+// processed: a barrier rides each shard's FIFO queue. A closed queue
+// refuses the barrier and Drain does not wait on that shard: Close itself
+// waits for every accepted tweet.
 func (e *Engine) Drain() {
-	barriers := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
+	barriers := make([]chan struct{}, 0, len(e.shards))
+	for _, sh := range e.shards {
 		b := make(chan struct{})
-		select {
-		case sh.ch <- shardMsg{barrier: b}:
-			barriers[i] = b
-		case <-e.done:
+		if sh.q.push(shardMsg{barrier: b}, true) == pushed {
+			barriers = append(barriers, b)
 		}
 	}
 	for _, b := range barriers {
-		if b == nil {
-			continue
-		}
-		select {
-		case <-b:
-		case <-e.done:
-		}
+		<-b
 	}
 }
 
-// Close drains outstanding work, stops the workers and releases the
-// engine's context. The in-memory state stays readable (Snapshot, User).
+// Close refuses further tweets, lets the workers apply every tweet already
+// accepted, stops them and releases the engine's context. The in-memory
+// state stays readable (Snapshot, User).
 func (e *Engine) Close() {
 	e.closed.Do(func() {
-		e.Drain()
 		close(e.done)
+		for _, sh := range e.shards {
+			sh.q.close()
+		}
 		e.wg.Wait()
 		e.cancel()
 	})
